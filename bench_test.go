@@ -903,7 +903,8 @@ func BenchmarkNoiseCriterion(b *testing.B) {
 // BenchmarkFaultMapCoverage — EXP-FM: correlated fault-map corpus
 // generation and March coverage evaluation on the real cell model (48
 // calibration DRV solves, then array-scale map generation and
-// evaluation). The corpus is deterministic at any worker count, so the
+// evaluation). The shared DRV memo is dropped before every iteration,
+// so each one pays the cold calibration a fresh corpus pays. The corpus is deterministic at any worker count, so the
 // embedded gate is stable: on a corpus with a nonzero DRF population,
 // March m-LZ (two deep-sleep dwells) must fully cover the retention
 // faults the dwell-free March C- escapes entirely — the paper's case
@@ -919,6 +920,7 @@ func BenchmarkFaultMapCoverage(b *testing.B) {
 	var res faultmap.Result
 	var err error
 	for i := 0; i < b.N; i++ {
+		engine.ResetDRVCache() // every iteration calibrates a cold corpus
 		res, err = faultmap.Estimate(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)

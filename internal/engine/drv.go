@@ -14,34 +14,61 @@ type drvKey struct {
 	bit  bool // true = stored '1' (DRV_DS1), false = stored '0'
 }
 
+// DRVCacheCap bounds the static-DRV memo. It holds Table I (~900
+// thresholds) and a full Fig. 4 sweep (~7000) together; each fault-map
+// corpus adds CalSamples (48) more per distinct (seed, condition), so a
+// long-lived sramd would otherwise grow the memo with every corpus it
+// serves. At ~320 B per entry (amd64) the cap keeps it under ~3 MB. The
+// oldest threshold goes first, and an evicted one is recomputed bit for
+// bit on its next request.
+const DRVCacheCap = 1 << 13
+
 // drvCache memoizes the static-DRV bisection process-wide. Every backend
 // shares it — the DRV oracle is pure cell-level math, independent of the
 // circuit backend — so cross-engine equivalence runs never recompute a
 // threshold, and the characterization layers and Table I agree on every
-// value by construction. Table I needs ~10 case studies × 45 conditions;
-// the Monte-Carlo experiment (100k distinct variations) deliberately
-// bypasses the memo to keep its footprint flat.
-var drvCache sweep.Cache[drvKey, float64]
+// value by construction. The fault-map calibration samples through it
+// too, so every shard of a corpus (and every rail of a rail curve) pays
+// its solves once. The Monte-Carlo experiment (100k distinct
+// variations) deliberately bypasses the memo to keep its footprint flat.
+var drvCache = sweep.Cache[drvKey, float64]{Max: DRVCacheCap}
+
+// cachedDRV looks key up in the memo, running solve on a miss, and
+// counts the bisection or the hit.
+func cachedDRV(key drvKey, solve func() float64) float64 {
+	solved := false
+	r, _ := drvCache.Do(key, func() (float64, error) {
+		solved = true
+		statDRVSolves.Add(1)
+		return solve(), nil
+	})
+	if !solved {
+		statDRVHits.Add(1)
+	}
+	return r
+}
 
 // CachedDRV1 returns the static DRV of a stored '1' for variation v at
 // cond, memoized process-wide.
 func CachedDRV1(v process.Variation, cond process.Condition) float64 {
-	r, _ := drvCache.Do(drvKey{v: v, cond: cond, bit: true}, func() (float64, error) {
-		return cell.New(v, cond).DRV1(), nil
+	return cachedDRV(drvKey{v: v, cond: cond, bit: true}, func() float64 {
+		return cell.New(v, cond).DRV1()
 	})
-	return r
 }
 
 // CachedDRV0 is the stored-'0' twin of CachedDRV1.
 func CachedDRV0(v process.Variation, cond process.Condition) float64 {
-	r, _ := drvCache.Do(drvKey{v: v, cond: cond, bit: false}, func() (float64, error) {
-		return cell.New(v, cond).DRV0(), nil
+	return cachedDRV(drvKey{v: v, cond: cond, bit: false}, func() float64 {
+		return cell.New(v, cond).DRV0()
 	})
-	return r
 }
 
 // ResetDRVCache drops the memoized thresholds (test hygiene).
 func ResetDRVCache() { drvCache.Reset() }
+
+// DRVCacheLen reports the number of memoized thresholds (at most
+// DRVCacheCap).
+func DRVCacheLen() int { return drvCache.Len() }
 
 // DRVOracle provides the shared memoized DRV oracle; backends embed it
 // to satisfy the Engine interface's DRV1/DRV0 methods.

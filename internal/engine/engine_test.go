@@ -98,10 +98,10 @@ func TestRailGeometry(t *testing.T) {
 }
 
 func TestEngineStatsSubAndRatio(t *testing.T) {
-	a := engine.EngineStats{Screened: 10, Escalations: 4, CalSolves: 20, Tables: 2, ExactInserts: 3}
-	b := engine.EngineStats{Screened: 16, Escalations: 6, CalSolves: 25, Tables: 3, ExactInserts: 5}
+	a := engine.EngineStats{Screened: 10, Escalations: 4, CalSolves: 20, Tables: 2, ExactInserts: 3, DRVSolves: 48, DRVCacheHits: 7}
+	b := engine.EngineStats{Screened: 16, Escalations: 6, CalSolves: 25, Tables: 3, ExactInserts: 5, DRVSolves: 50, DRVCacheHits: 103}
 	d := b.Sub(a)
-	if d.Screened != 6 || d.Escalations != 2 || d.CalSolves != 5 || d.Tables != 1 || d.ExactInserts != 2 {
+	if d.Screened != 6 || d.Escalations != 2 || d.CalSolves != 5 || d.Tables != 1 || d.ExactInserts != 2 || d.DRVSolves != 2 || d.DRVCacheHits != 96 {
 		t.Fatalf("Sub = %+v", d)
 	}
 	if got := d.ScreenRatio(); got != 0.75 {

@@ -8,7 +8,8 @@ import "sync/atomic"
 // without a lock, and purely observational — no engine decision reads
 // them. They quantify the tiered backend's screening economy: how many
 // decisions the calibrated band answered versus how many escalated to a
-// full Newton solve.
+// full Newton solve — plus the economy of the shared static-DRV memo
+// (bisections run versus lookups it answered).
 var (
 	statScreened        atomic.Int64 // decisions answered from the surrogate band
 	statEscalations     atomic.Int64 // screens that fell through to full SPICE
@@ -16,6 +17,8 @@ var (
 	statCalSolves       atomic.Int64 // SPICE solves spent building calibration tables
 	statTables          atomic.Int64 // calibration tables built
 	statExactInserts    atomic.Int64 // escalated results folded back into a table
+	statDRVSolves       atomic.Int64 // static-DRV bisections run by the memoized oracle
+	statDRVHits         atomic.Int64 // static-DRV lookups answered by the memo
 )
 
 // EngineStats is a snapshot of the cumulative engine counters.
@@ -26,6 +29,8 @@ type EngineStats struct {
 	CalSolves       int64 // SPICE solves spent calibrating tables
 	Tables          int64 // calibration tables built
 	ExactInserts    int64 // escalated exact samples inserted into tables
+	DRVSolves       int64 // static-DRV bisections run by the memoized oracle
+	DRVCacheHits    int64 // static-DRV lookups answered by the memo
 }
 
 // Stats returns a snapshot of the cumulative engine counters.
@@ -37,6 +42,8 @@ func Stats() EngineStats {
 		CalSolves:       statCalSolves.Load(),
 		Tables:          statTables.Load(),
 		ExactInserts:    statExactInserts.Load(),
+		DRVSolves:       statDRVSolves.Load(),
+		DRVCacheHits:    statDRVHits.Load(),
 	}
 }
 
@@ -50,6 +57,8 @@ func (s EngineStats) Sub(prev EngineStats) EngineStats {
 		CalSolves:       s.CalSolves - prev.CalSolves,
 		Tables:          s.Tables - prev.Tables,
 		ExactInserts:    s.ExactInserts - prev.ExactInserts,
+		DRVSolves:       s.DRVSolves - prev.DRVSolves,
+		DRVCacheHits:    s.DRVCacheHits - prev.DRVCacheHits,
 	}
 }
 
@@ -71,6 +80,8 @@ func ResetStats() {
 	statCalSolves.Store(0)
 	statTables.Store(0)
 	statExactInserts.Store(0)
+	statDRVSolves.Store(0)
+	statDRVHits.Store(0)
 }
 
 // The counter hooks below are called by the backends; they live here so

@@ -73,7 +73,7 @@ func shardChunks(p Params) []int {
 // sweep engine, and either finalize (full corpus) or export the
 // partial.
 func run(ctx context.Context, p Params) (Result, Partial, error) {
-	g, err := NewGenerator(p)
+	g, err := newGenerator(ctx, p)
 	if err != nil {
 		return Result{}, Partial{}, err
 	}

@@ -200,3 +200,50 @@ func TestBoundedEvalMemory(t *testing.T) {
 			tally.Dropped, tally.Miscompares)
 	}
 }
+
+// TestApplyEdgeWords: the per-word fault masks cover the whole address
+// range — a stuck-at bit and a coupling aggressor on the first and the
+// last word both act, each coupling victim in another word.
+func TestApplyEdgeWords(t *testing.T) {
+	last := sram.Words - 1
+	for _, c := range []struct{ edge, other, victim, clean int }{{0, last, 100, 1}, {last, 0, 200, last - 1}} {
+		m := handMap(nil, nil, []fault.Fault{
+			{Kind: fault.SAF1, Victim: fault.Cell{Addr: c.edge, Bit: 5}},
+			{Kind: fault.CFid, Aggressor: fault.Cell{Addr: c.edge, Bit: 7}, Victim: fault.Cell{Addr: c.victim, Bit: 2}, Val: true},
+			{Kind: fault.CFid, Aggressor: fault.Cell{Addr: c.other, Bit: 1}, Victim: fault.Cell{Addr: c.victim, Bit: 9}, Val: true},
+		})
+		s := m.NewSRAM()
+		read := func(addr int) uint64 {
+			t.Helper()
+			v, err := s.Read(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		write := func(addr int, v uint64) {
+			t.Helper()
+			if err := s.Write(addr, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := read(c.victim); got != 0 {
+			t.Fatalf("edge %d: victim word starts at %#x, want 0", c.edge, got)
+		}
+		write(c.edge, 1<<7) // up transition on the aggressor bit; bit 5 stuck at 1
+		if got, want := read(c.edge), uint64(1<<7|1<<5); got != want {
+			t.Errorf("edge %d: word reads %#x, want %#x (SAF1 on bit 5)", c.edge, got, want)
+		}
+		if got := read(c.victim); got != 1<<2 {
+			t.Errorf("edge %d: victim reads %#x after the aggressor rose, want %#x", c.edge, got, 1<<2)
+		}
+		write(c.other, 1<<1)
+		if got := read(c.victim); got != 1<<2|1<<9 {
+			t.Errorf("edge %d: victim reads %#x after the far aggressor rose, want %#x", c.edge, got, 1<<2|1<<9)
+		}
+		write(c.clean, 1<<1) // a fault-free neighbour of the edge word
+		if got := read(c.victim); got != 1<<2|1<<9 {
+			t.Errorf("edge %d: a fault-free word disturbed the victim: %#x", c.edge, got)
+		}
+	}
+}

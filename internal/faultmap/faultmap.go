@@ -35,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 
-	"sramtest/internal/cell"
+	"sramtest/internal/engine"
 	"sramtest/internal/march"
 	"sramtest/internal/process"
 )
@@ -147,12 +147,14 @@ type Model interface {
 }
 
 // CellModel is the exact production model: the cell-level DRV
-// bisection.
+// bisection, answered through the process-wide engine memo so the
+// shards of one corpus and the rails of a rail curve share one
+// calibration.
 type CellModel struct{}
 
 // DRV1 implements Model.
 func (CellModel) DRV1(v process.Variation, cond process.Condition) float64 {
-	return cell.New(v, cond).DRV1()
+	return engine.CachedDRV1(v, cond)
 }
 
 // Engine names for the coverage evaluator.

@@ -1,6 +1,7 @@
 package faultmap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -47,11 +48,21 @@ type Generator struct {
 
 // NewGenerator validates p and calibrates the DRV distribution.
 func NewGenerator(p Params) (*Generator, error) {
+	return newGenerator(context.Background(), p)
+}
+
+// newGenerator is NewGenerator under a context: the calibration solves
+// run on p.Workers sweep workers and stop being scheduled once ctx is
+// done.
+func newGenerator(ctx context.Context, p Params) (*Generator, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	cal := calibrate(p.Model, p.Cond, p.Vref, p.Seed)
+	cal, err := calibrate(ctx, p.Model, p.Cond, p.Vref, p.Seed, p.Workers)
+	if err != nil {
+		return nil, err
+	}
 	return &Generator{
 		p:     p,
 		cal:   cal,

@@ -13,7 +13,7 @@ import (
 // fitted moments must approach the analytic mu and sigma, and the
 // implied tail probability the analytic normal tail.
 func TestCalibrationMatchesAnalytic(t *testing.T) {
-	cal := calibrate(synthModel{}, testCond, 0.50, 7)
+	cal := mustCalibrate(t, synthModel{}, 0)
 	if math.Abs(cal.Mu-synthBase) > 0.03 {
 		t.Errorf("Mu = %.4f, want ≈ %.2f", cal.Mu, synthBase)
 	}
@@ -32,11 +32,11 @@ func TestCalibrationMatchesAnalytic(t *testing.T) {
 // TestCalibrationDegenerateModel: a constant model must still calibrate
 // (sigma floored) with a 0-or-1 tail.
 func TestCalibrationDegenerateModel(t *testing.T) {
-	cal := calibrate(constModel(0.3), testCond, 0.50, 7)
+	cal := mustCalibrate(t, constModel(0.3), 0)
 	if cal.PDRF != 0 {
 		t.Errorf("rail above a constant DRV must imply PDRF = 0, got %g", cal.PDRF)
 	}
-	cal = calibrate(constModel(0.6), testCond, 0.50, 7)
+	cal = mustCalibrate(t, constModel(0.6), 0)
 	if cal.PDRF != 1 {
 		t.Errorf("rail below a constant DRV must imply PDRF = 1, got %g", cal.PDRF)
 	}

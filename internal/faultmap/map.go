@@ -115,10 +115,10 @@ func (m *Map) Apply(s *sram.SRAM) {
 		h = fault.NewInjector(m.Static...).Hooks()
 		// The injector's per-bit hooks scan its whole fault list on every
 		// bit of every access; at array scale that is 256 K scans per March
-		// element. Gate them behind per-word masks so only words that
-		// actually carry a fault pay the scan.
-		victim := make(map[int]uint64)
-		aggressor := make(map[int]bool)
+		// element. Gate them behind dense per-word masks so only words
+		// that actually carry a fault pay the scan.
+		victim := make([]uint64, sram.Words)
+		aggressor := make([]bool, sram.Words)
 		for _, f := range m.Static {
 			victim[f.Victim.Addr] |= 1 << uint(f.Victim.Bit)
 			if f.Kind == fault.CFin || f.Kind == fault.CFid || f.Kind == fault.CFst {

@@ -153,7 +153,8 @@ func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
 		Shard:  f.Shard,
 	}
 	// A noise criterion tightens the per-bit DRF marginals through the
-	// Model seam; static jobs keep the default memo-free CellModel.
+	// Model seam; static jobs keep the default CellModel, whose solves
+	// the shards of one corpus share through the engine's DRV memo.
 	if spec.Criterion == "noise" {
 		crit, err := specCriterion(spec)
 		if err != nil {

@@ -90,6 +90,8 @@ func writeMetrics(w io.Writer, mgr *jobs.Manager, st *store.Store) {
 	// Tiered-engine counters: all zero while every job runs the exact
 	// backend; under -engine tiered the screened/escalated split is the
 	// live measure of how much SPICE work the surrogate is absorbing.
+	// The DRV-memo counters follow every static-DRV lookup: Table I, the
+	// characterization anchors and the fault-map calibration.
 	es := engine.Stats()
 	fmt.Fprintln(w, "# HELP sramd_engine_decisions_total Band-screened decisions by outcome.")
 	fmt.Fprintln(w, "# TYPE sramd_engine_decisions_total counter")
@@ -108,6 +110,15 @@ func writeMetrics(w io.Writer, mgr *jobs.Manager, st *store.Store) {
 	fmt.Fprintln(w, "# HELP sramd_engine_exact_inserts_total Escalated exact samples folded back into tables.")
 	fmt.Fprintln(w, "# TYPE sramd_engine_exact_inserts_total counter")
 	fmt.Fprintf(w, "sramd_engine_exact_inserts_total %d\n", es.ExactInserts)
+	fmt.Fprintln(w, "# HELP sramd_engine_drv_solves_total Static-DRV bisections run by the shared DRV memo.")
+	fmt.Fprintln(w, "# TYPE sramd_engine_drv_solves_total counter")
+	fmt.Fprintf(w, "sramd_engine_drv_solves_total %d\n", es.DRVSolves)
+	fmt.Fprintln(w, "# HELP sramd_engine_drv_cache_hits_total Static-DRV lookups answered by the shared DRV memo.")
+	fmt.Fprintln(w, "# TYPE sramd_engine_drv_cache_hits_total counter")
+	fmt.Fprintf(w, "sramd_engine_drv_cache_hits_total %d\n", es.DRVCacheHits)
+	fmt.Fprintln(w, "# HELP sramd_engine_drv_cache_entries Static-DRV thresholds held by the shared DRV memo.")
+	fmt.Fprintln(w, "# TYPE sramd_engine_drv_cache_entries gauge")
+	fmt.Fprintf(w, "sramd_engine_drv_cache_entries %d\n", engine.DRVCacheLen())
 
 	// Yield-estimator counters: the screen economy of the rare-event
 	// path plus last-estimate health gauges (ESS, shift, tail depth).
@@ -281,6 +292,9 @@ func snapshot(mgr *jobs.Manager, st *store.Store) map[string]any {
 		"engine_cal_solves":       es.CalSolves,
 		"engine_tables":           es.Tables,
 		"engine_exact_inserts":    es.ExactInserts,
+		"engine_drv_solves":       es.DRVSolves,
+		"engine_drv_cache_hits":   es.DRVCacheHits,
+		"engine_drv_entries":      engine.DRVCacheLen(),
 		"jobs_queued":             s.Queued,
 		"jobs_running":            s.Running,
 		"jobs_done":               s.Done,

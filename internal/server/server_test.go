@@ -216,6 +216,9 @@ func TestHealthzAndMetricsShape(t *testing.T) {
 		"sramd_faultmap_runs_total",
 		"sramd_faultmap_maps_total",
 		"sramd_faultmap_last_best_coverage",
+		"sramd_engine_drv_solves_total",
+		"sramd_engine_drv_cache_hits_total",
+		"sramd_engine_drv_cache_entries",
 		"sramd_noise_scans_total",
 		"sramd_noise_flips_total",
 		"sramd_noise_last_tighten_volts",

@@ -10,12 +10,23 @@ import "sync"
 // points are deterministic, so recomputing a failed point would only
 // fail again.
 //
-// The zero value is ready to use. Entries live until Reset; the cache
-// is in-memory and intended for intra-process reuse (e.g. the test-flow
-// optimizer re-probing characterization points).
+// The zero value is ready to use and unbounded: entries live until
+// Reset. Setting Max bounds the table to that many entries, evicting
+// the oldest-inserted key first; an evicted key is simply recomputed on
+// its next request, which for the repo's pure compute functions yields
+// the identical value. Eviction never interrupts a computation in
+// flight — callers already waiting on it still share its result. The
+// cache is in-memory and intended for intra-process reuse (e.g. the
+// test-flow optimizer re-probing characterization points).
 type Cache[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*cacheEntry[V]
+	// Max caps the number of entries (<= 0 = unbounded). Set it before
+	// the first Do.
+	Max int
+
+	mu    sync.Mutex
+	m     map[K]*cacheEntry[V]
+	order []K // insertion ring of a bounded cache; order[next] is the oldest once full
+	next  int
 }
 
 type cacheEntry[V any] struct {
@@ -34,7 +45,7 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 	e, ok := c.m[key]
 	if !ok {
 		e = &cacheEntry[V]{}
-		c.m[key] = e
+		c.insert(key, e)
 	}
 	c.mu.Unlock()
 
@@ -42,6 +53,22 @@ func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 		e.val, e.err = protect(struct{}{}, -1, func(struct{}, int) (V, error) { return compute() })
 	})
 	return e.val, e.err
+}
+
+// insert adds a new entry, evicting the oldest one when the table is
+// full. Callers hold c.mu.
+func (c *Cache[K, V]) insert(key K, e *cacheEntry[V]) {
+	c.m[key] = e
+	if c.Max <= 0 {
+		return
+	}
+	if len(c.order) < c.Max {
+		c.order = append(c.order, key)
+		return
+	}
+	delete(c.m, c.order[c.next])
+	c.order[c.next] = key
+	c.next = (c.next + 1) % c.Max
 }
 
 // Len reports the number of cached entries (including in-flight ones).
@@ -54,6 +81,6 @@ func (c *Cache[K, V]) Len() int {
 // Reset drops every cached entry.
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
-	c.m = nil
+	c.m, c.order, c.next = nil, nil, 0
 	c.mu.Unlock()
 }

@@ -295,3 +295,51 @@ func TestCachePanicAndReset(t *testing.T) {
 		t.Errorf("post-reset compute: %d, %v", v, err)
 	}
 }
+
+func TestCacheBoundedEvictsOldest(t *testing.T) {
+	c := Cache[int, int]{Max: 3}
+	computes := map[int]int{}
+	get := func(k int) int {
+		v, _ := c.Do(k, func() (int, error) { computes[k]++; return k * k, nil })
+		return v
+	}
+	for k := 0; k < 5; k++ {
+		get(k)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d, want the cap 3", c.Len())
+	}
+	get(4) // still held
+	get(0) // evicted: recomputed, and evicts key 2
+	if computes[4] != 1 || computes[0] != 2 {
+		t.Errorf("computes = %v, want key 4 once and the evicted key 0 twice", computes)
+	}
+	if v := get(0); v != 0 || computes[0] != 2 {
+		t.Errorf("re-inserted key: %d after %d computes", v, computes[0])
+	}
+	get(2)
+	if computes[2] != 2 || c.Len() != 3 {
+		t.Errorf("key 2 computed %d times, Len %d; want 2 and 3", computes[2], c.Len())
+	}
+}
+
+// TestCacheBoundedConcurrent: workers hammering a small bounded cache
+// over more keys than it holds always get their key's value, and the
+// table never outgrows its cap.
+func TestCacheBoundedConcurrent(t *testing.T) {
+	c := Cache[int, int]{Max: 4}
+	_, err := Map(400, func(i int) (int, error) {
+		k := i % 13
+		v, err := c.Do(k, func() (int, error) { return k * 7, nil })
+		if err == nil && v != k*7 {
+			err = fmt.Errorf("key %d: got %d, want %d", k, v, k*7)
+		}
+		return v, err
+	}, Workers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Len(); n > 4 {
+		t.Errorf("Len = %d exceeds the cap 4", n)
+	}
+}

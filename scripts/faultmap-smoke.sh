@@ -7,7 +7,9 @@
 # daemon's POST /v1/batch (cmd/faultmap -cluster; merged output must be
 # byte-identical to the local run), submit it once more as a whole
 # daemon job (same bytes again), and check the faultmap counters
-# surface on /metrics. Writes the report to results/faultmap-smoke.txt.
+# surface on /metrics — including that the daemon ran exactly one
+# 48-solve DRV calibration for the three jobs of the one corpus (the
+# shared DRV memo). Writes the report to results/faultmap-smoke.txt.
 #
 # FAULTMAP_MAPS overrides the corpus size (default 1000 — the
 # determinism contract is the point, so the corpus is kept at real
@@ -106,6 +108,8 @@ printf '%s\n' "$METRICS" | grep -q '^sramd_faultmap_runs_total 1$' || fail "whol
 printf '%s\n' "$METRICS" | grep -q '^sramd_faultmap_partials_total 2$' || fail "shard partials not counted in /metrics"
 printf '%s\n' "$METRICS" | grep -q '^sramd_faultmap_maps_total [1-9]' || fail "no maps counted in /metrics"
 printf '%s\n' "$METRICS" | grep -q '^sramd_faultmap_last_best_coverage 0\.[0-9]' || fail "no best-coverage gauge in /metrics"
+printf '%s\n' "$METRICS" | grep -q '^sramd_engine_drv_solves_total 48$' ||
+	fail "want one 48-solve DRV calibration across the 2 shard jobs and the whole job: $(printf '%s\n' "$METRICS" | grep '^sramd_engine_drv')"
 
 echo "faultmap-smoke: shutting down"
 kill -TERM "$PID"
