@@ -2,6 +2,7 @@
 #
 #   make verify       build + vet + gofmt + test — the tier-1 gate
 #   make race         race-enabled test run
+#   make fuzz         20 s of FuzzMerge on the shard merge check
 #   make bench        one iteration of every benchmark (smoke)
 #   make bench-report solver benchmarks vs baseline -> BENCH_10.json
 #   make serve-smoke  end-to-end sramd daemon smoke test
@@ -20,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt test race bench bench-report serve-smoke diag-smoke diag-index-smoke engine-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
+.PHONY: verify build vet fmt test race fuzz bench bench-report serve-smoke diag-smoke diag-index-smoke engine-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
 
 verify: build vet fmt test
 
@@ -43,6 +44,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzMerge -fuzztime 20s ./internal/shard
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

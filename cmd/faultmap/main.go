@@ -20,13 +20,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -220,53 +218,17 @@ func clusterEstimate(target string, shards int, p faultmap.Params, vdd float64) 
 	if len(p.Random) > 0 {
 		randomOps = p.Random[0].Ops
 	}
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for s := 0; s < shards; s++ {
-		spec := jobs.Spec{Kind: jobs.KindFaultMap, FaultMap: &jobs.FaultMapSpec{
+	specs := make([]jobs.Spec, shards)
+	for s := range specs {
+		specs[s] = jobs.Spec{Kind: jobs.KindFaultMap, FaultMap: &jobs.FaultMapSpec{
 			Maps: p.Maps, Seed: p.Seed, Vref: p.Vref, Defect: p.Defect,
 			Tests: names, RandomOps: randomOps, BIST: p.Engine == faultmap.EngineBIST,
 			Shards: shards, Shard: s,
 		}}
-		if err := enc.Encode(spec); err != nil {
-			return faultmap.Result{}, err
-		}
 	}
-	resp, err := http.Post(target+"/v1/batch", "application/x-ndjson", &body)
+	parts, err := cluster.FanOut[faultmap.Partial](context.Background(), target, specs)
 	if err != nil {
 		return faultmap.Result{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return faultmap.Result{}, fmt.Errorf("batch: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-	parts := make([]faultmap.Partial, shards)
-	seen := make([]bool, shards)
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var br cluster.BatchResult
-		if err := dec.Decode(&br); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return faultmap.Result{}, fmt.Errorf("batch stream: %w", err)
-		}
-		if br.Index < 0 || br.Index >= shards || seen[br.Index] {
-			return faultmap.Result{}, fmt.Errorf("batch stream: unexpected result index %d", br.Index)
-		}
-		if br.State != cluster.BatchStateDone {
-			return faultmap.Result{}, fmt.Errorf("shard %d: %s", br.Index, br.Error)
-		}
-		if err := json.Unmarshal(br.Result, &parts[br.Index]); err != nil {
-			return faultmap.Result{}, fmt.Errorf("shard %d: bad partial: %w", br.Index, err)
-		}
-		seen[br.Index] = true
-	}
-	for s, ok := range seen {
-		if !ok {
-			return faultmap.Result{}, fmt.Errorf("batch stream ended without shard %d", s)
-		}
 	}
 	return faultmap.MergePartials(parts)
 }

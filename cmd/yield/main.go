@@ -17,15 +17,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strings"
 
 	"sramtest/internal/cli"
 	"sramtest/internal/cluster"
@@ -105,52 +100,16 @@ func clusterEstimate(target string, shards, n int, seed int64, vref float64, met
 	if shards < 2 {
 		return yield.Result{}, fmt.Errorf("-shards must be >= 2 in cluster mode (one shard is a plain job)")
 	}
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for s := 0; s < shards; s++ {
-		spec := jobs.Spec{Kind: jobs.KindYield, Yield: &jobs.YieldSpec{
+	specs := make([]jobs.Spec, shards)
+	for s := range specs {
+		specs[s] = jobs.Spec{Kind: jobs.KindYield, Yield: &jobs.YieldSpec{
 			Samples: n, Seed: seed, Vref: vref, Method: method,
 			Shards: shards, Shard: s,
 		}}
-		if err := enc.Encode(spec); err != nil {
-			return yield.Result{}, err
-		}
 	}
-	resp, err := http.Post(target+"/v1/batch", "application/x-ndjson", &body)
+	parts, err := cluster.FanOut[yield.Partial](context.Background(), target, specs)
 	if err != nil {
 		return yield.Result{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return yield.Result{}, fmt.Errorf("batch: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
-	}
-	parts := make([]yield.Partial, shards)
-	seen := make([]bool, shards)
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var br cluster.BatchResult
-		if err := dec.Decode(&br); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return yield.Result{}, fmt.Errorf("batch stream: %w", err)
-		}
-		if br.Index < 0 || br.Index >= shards || seen[br.Index] {
-			return yield.Result{}, fmt.Errorf("batch stream: unexpected result index %d", br.Index)
-		}
-		if br.State != cluster.BatchStateDone {
-			return yield.Result{}, fmt.Errorf("shard %d: %s", br.Index, br.Error)
-		}
-		if err := json.Unmarshal(br.Result, &parts[br.Index]); err != nil {
-			return yield.Result{}, fmt.Errorf("shard %d: bad partial: %w", br.Index, err)
-		}
-		seen[br.Index] = true
-	}
-	for s, ok := range seen {
-		if !ok {
-			return yield.Result{}, fmt.Errorf("batch stream ended without shard %d", s)
-		}
 	}
 	return yield.MergePartials(parts)
 }

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"sramtest/internal/jobs"
 )
@@ -114,4 +116,73 @@ func (bw *BatchWriter) Write(res BatchResult) error {
 		bw.f.Flush()
 	}
 	return nil
+}
+
+// PostBatch posts specs as one NDJSON batch to target's /v1/batch (a
+// node or a coordinator) and returns each line's result bytes in spec
+// order, however the stream interleaves them. It fails on a non-200
+// response, an undecodable stream, an out-of-range or repeated index, a
+// failed line, and a stream that ends without some index.
+func PostBatch(ctx context.Context, target string, specs []jobs.Spec) ([][]byte, error) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, spec := range specs {
+		if err := enc.Encode(spec); err != nil {
+			return nil, err
+		}
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/batch", &body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return nil, fmt.Errorf("batch: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+	}
+	out := make([][]byte, len(specs))
+	seen := make([]bool, len(specs))
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var br BatchResult
+		if err := dec.Decode(&br); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("batch stream: %w", err)
+		}
+		if br.Index < 0 || br.Index >= len(specs) || seen[br.Index] {
+			return nil, fmt.Errorf("batch stream: unexpected result index %d", br.Index)
+		}
+		if br.State != BatchStateDone {
+			return nil, fmt.Errorf("batch line %d: %s", br.Index, br.Error)
+		}
+		out[br.Index], seen[br.Index] = br.Result, true
+	}
+	for i, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("batch stream ended without line %d", i)
+		}
+	}
+	return out, nil
+}
+
+// FanOut posts shard specs through PostBatch and decodes each line's
+// result as the JSON partial P, in spec order.
+func FanOut[P any](ctx context.Context, target string, specs []jobs.Spec) ([]P, error) {
+	results, err := PostBatch(ctx, target, specs)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]P, len(results))
+	for i, data := range results {
+		if err := json.Unmarshal(data, &parts[i]); err != nil {
+			return nil, fmt.Errorf("shard %d: bad partial: %w", i, err)
+		}
+	}
+	return parts, nil
 }

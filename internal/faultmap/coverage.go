@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 	"sramtest/internal/sweep"
 )
 
@@ -59,15 +60,8 @@ func runChunk(g *Generator, names []string, c int) (ChunkStat, error) {
 	return st, nil
 }
 
-// shardChunks lists the chunk indices owned by p's shard, in order.
-func shardChunks(p Params) []int {
-	total := (p.Maps + MapChunk - 1) / MapChunk
-	out := make([]int, 0, total/p.Shards+1)
-	for c := p.Shard; c < total; c += p.Shards {
-		out = append(out, c)
-	}
-	return out
-}
+// numChunks is the number of map chunks of a corpus.
+func numChunks(maps int) int { return (maps + MapChunk - 1) / MapChunk }
 
 // run is the shared engine: calibrate, fan the shard's chunks over the
 // sweep engine, and either finalize (full corpus) or export the
@@ -83,7 +77,7 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 		return Result{}, Partial{}, err
 	}
 
-	idx := shardChunks(p)
+	idx := shard.Owned(numChunks(p.Maps), p.Shards, p.Shard)
 	chunks, err := sweep.MapCtx(ctx, len(idx), func(i int) (ChunkStat, error) {
 		return runChunk(g, names, idx[i])
 	}, sweep.Workers(p.Workers))
@@ -114,16 +108,18 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 	return res, part, nil
 }
 
-// Estimate runs the full corpus evaluation (Params.Shards <= 1).
+// Estimate runs the full corpus evaluation; Params.Shards > 1 is
+// refused with ErrBadParams (use ShardPartial + MergePartials).
 func Estimate(ctx context.Context, p Params) (Result, error) {
-	if p.Shards > 1 {
-		return Result{}, fmt.Errorf("%w: Estimate needs Shards <= 1 (use ShardPartial + MergePartials)", ErrBadParams)
+	if err := shard.Whole(p.Shards); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
 	res, _, err := run(ctx, p)
 	return res, err
 }
 
-// ShardPartial runs only this shard's chunks and returns the mergeable
+// ShardPartial runs only this shard's chunks (any valid Shards/Shard,
+// Shards <= 1 being the whole corpus) and returns the mergeable
 // statistics (see MergePartials).
 func ShardPartial(ctx context.Context, p Params) (Partial, error) {
 	_, part, err := run(ctx, p)

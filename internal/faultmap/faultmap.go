@@ -38,6 +38,7 @@ import (
 	"sramtest/internal/engine"
 	"sramtest/internal/march"
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 )
 
 // Defaults and protocol constants.
@@ -243,11 +244,9 @@ func (p Params) withDefaults() (Params, error) {
 	if len(p.Tests)+len(p.Random) == 0 {
 		return p, fmt.Errorf("%w: no tests to evaluate", ErrBadParams)
 	}
-	if p.Shards <= 1 {
-		p.Shards, p.Shard = 1, 0
-	}
-	if p.Shard < 0 || p.Shard >= p.Shards {
-		return p, fmt.Errorf("%w: shard %d not in [0, %d)", ErrBadParams, p.Shard, p.Shards)
+	var err error
+	if p.Shards, p.Shard, err = shard.Normalize(p.Shards, p.Shard); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
 	if p.Model == nil {
 		p.Model = CellModel{}

@@ -3,6 +3,7 @@ package faultmap
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"sramtest/internal/march"
@@ -144,6 +145,12 @@ func TestMergeValidation(t *testing.T) {
 	if _, err := MergePartials(tooNew); err == nil {
 		t.Error("merge of an unknown partial version must fail")
 	}
+	short := []Partial{parts[0], parts[1]}
+	short[1].Chunks = append([]ChunkStat(nil), parts[1].Chunks...)
+	short[1].Chunks[0].Tests = short[1].Chunks[0].Tests[1:]
+	if _, err := MergePartials(short); !errors.Is(err, ErrBadParams) {
+		t.Errorf("merge of a chunk missing a test tally: err = %v, want ErrBadParams", err)
+	}
 }
 
 // TestMapDeterminism: the same (params, index) regenerates the
@@ -189,6 +196,11 @@ func TestParamsValidation(t *testing.T) {
 	p.Shards, p.Shard = 4, 1
 	if _, err := Estimate(ctx, p); err == nil {
 		t.Error("Estimate must refuse a sharded params (use ShardPartial)")
+	}
+	p = testParams()
+	p.Shards = 2
+	if res, err := Estimate(ctx, p); !errors.Is(err, ErrBadParams) {
+		t.Errorf("Estimate with Shards 2 = (%+v, %v), want ErrBadParams", res, err)
 	}
 	p = testParams()
 	p.Shards, p.Shard = 4, 7

@@ -2,10 +2,10 @@ package faultmap
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 )
 
 // PartialVersion tags the Partial wire format; a merger refuses any
@@ -36,86 +36,55 @@ type Partial struct {
 // agree across shards, in a comparable struct (the test list joined on
 // an unprintable separator).
 type mergeHeader struct {
-	Version int
-	Cond    process.Condition
-	Vref    float64
-	Maps    int
-	Seed    int64
-	Defect  float64
-	Engine  string
-	Tests   string
-	Shards  int
-	Calib   Calib
+	Cond   process.Condition
+	Vref   float64
+	Maps   int
+	Seed   int64
+	Defect float64
+	Engine string
+	Tests  string
+	Calib  Calib
 }
 
-// header extracts the merge-identity of the partial.
-func (p Partial) header() mergeHeader {
-	return mergeHeader{
+// view is the partial as the shared merge sees it.
+func (p Partial) view() shard.Part[mergeHeader, ChunkStat] {
+	return shard.Part[mergeHeader, ChunkStat]{
 		Version: p.Version,
-		Cond:    p.Cond,
-		Vref:    p.Vref,
-		Maps:    p.Maps,
-		Seed:    p.Seed,
-		Defect:  p.Defect,
-		Engine:  p.Engine,
-		Tests:   strings.Join(p.Tests, "\x1f"),
 		Shards:  p.Shards,
-		Calib:   p.Calib,
+		Shard:   p.Shard,
+		Head: mergeHeader{
+			Cond:   p.Cond,
+			Vref:   p.Vref,
+			Maps:   p.Maps,
+			Seed:   p.Seed,
+			Defect: p.Defect,
+			Engine: p.Engine,
+			Tests:  strings.Join(p.Tests, "\x1f"),
+			Calib:  p.Calib,
+		},
+		N:     numChunks(p.Maps),
+		Units: p.Chunks,
 	}
 }
 
 // MergePartials reassembles a full corpus evaluation from one partial
-// per shard. It verifies that every shard ran the same job (identical
-// header and calibration), that exactly the expected shards are
-// present, and that the union of chunks covers the corpus with no gap
-// or overlap — then reduces them through the same chunk-ordered
-// finalize as a local run, reproducing its bytes exactly.
+// per shard. shard.Merge verifies that every shard ran the same job
+// (identical header and calibration), that exactly the expected shards
+// are present, and that the union of chunks covers the corpus with no
+// gap or overlap; every chunk must also carry one tally per test. The
+// chunks are then reduced through the same chunk-ordered finalize as a
+// local run, reproducing its bytes exactly.
 func MergePartials(parts []Partial) (Result, error) {
-	if len(parts) == 0 {
-		return Result{}, fmt.Errorf("%w: no partials to merge", ErrBadParams)
+	chunks, err := shard.Merge(parts, Partial.view, PartialVersion, func(st ChunkStat) int { return st.Chunk })
+	if err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	ref := parts[0]
-	if ref.Version != PartialVersion {
-		return Result{}, fmt.Errorf("%w: partial version %d, want %d", ErrBadParams, ref.Version, PartialVersion)
-	}
-	if len(parts) != ref.Shards {
-		return Result{}, fmt.Errorf("%w: %d partials for %d shards", ErrBadParams, len(parts), ref.Shards)
-	}
-
-	head := ref.header()
-	seen := make(map[int]bool, len(parts))
-	var chunks []ChunkStat
-	for _, p := range parts {
-		if p.header() != head {
-			return Result{}, fmt.Errorf("%w: shard %d disagrees on the job header or calibration", ErrBadParams, p.Shard)
-		}
-		if p.Shard < 0 || p.Shard >= ref.Shards || seen[p.Shard] {
-			return Result{}, fmt.Errorf("%w: bad or duplicate shard index %d", ErrBadParams, p.Shard)
-		}
-		seen[p.Shard] = true
-		for _, st := range p.Chunks {
-			if st.Chunk%ref.Shards != p.Shard {
-				return Result{}, fmt.Errorf("%w: shard %d reports foreign chunk %d", ErrBadParams, p.Shard, st.Chunk)
-			}
-			if len(st.Tests) != len(ref.Tests) {
-				return Result{}, fmt.Errorf("%w: chunk %d carries %d tallies for %d tests", ErrBadParams, st.Chunk, len(st.Tests), len(ref.Tests))
-			}
-		}
-		chunks = append(chunks, p.Chunks...)
-	}
-
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].Chunk < chunks[j].Chunk })
-	want := (ref.Maps + MapChunk - 1) / MapChunk
-	if len(chunks) != want {
-		return Result{}, fmt.Errorf("%w: merged %d chunks, want %d", ErrBadParams, len(chunks), want)
-	}
-	for i, st := range chunks {
-		if st.Chunk != i {
-			return Result{}, fmt.Errorf("%w: chunk %d missing from the merge", ErrBadParams, i)
+	merged := parts[0]
+	for _, st := range chunks {
+		if len(st.Tests) != len(merged.Tests) {
+			return Result{}, fmt.Errorf("%w: chunk %d carries %d tallies for %d tests", ErrBadParams, st.Chunk, len(st.Tests), len(merged.Tests))
 		}
 	}
-
-	merged := ref
 	merged.Shards, merged.Shard, merged.Chunks = 1, 0, chunks
 	return finalize(merged), nil
 }

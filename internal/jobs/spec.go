@@ -19,6 +19,7 @@ import (
 	"sramtest/internal/march"
 	"sramtest/internal/noisescan"
 	"sramtest/internal/regulator"
+	"sramtest/internal/shard"
 	"sramtest/internal/store"
 	"sramtest/internal/yield"
 )
@@ -460,15 +461,8 @@ func (s Spec) Normalize() (Spec, error) {
 		if y.Method == "" {
 			y.Method = yield.MethodIS
 		}
-		if y.Shards <= 1 {
-			y.Shards, y.Shard = 0, 0
-		} else {
-			if y.Shard < 0 || y.Shard >= y.Shards {
-				return Spec{}, fmt.Errorf("%w: yield.shard = %d not in [0, %d)", ErrBadSpec, y.Shard, y.Shards)
-			}
-			if s.CSV {
-				return Spec{}, fmt.Errorf("%w: sharded yield jobs emit a JSON partial, csv does not apply", ErrBadSpec)
-			}
+		if err := normalizeShard("yield", &y.Shards, &y.Shard, s.CSV); err != nil {
+			return Spec{}, err
 		}
 		out.Yield = &y
 	case KindFaultMap:
@@ -509,15 +503,8 @@ func (s Spec) Normalize() (Spec, error) {
 		if fm.RandomOps < 0 || fm.RandomOps > maxRandomOps {
 			return Spec{}, fmt.Errorf("%w: faultmap.randomOps = %d not in [0, %d]", ErrBadSpec, fm.RandomOps, maxRandomOps)
 		}
-		if fm.Shards <= 1 {
-			fm.Shards, fm.Shard = 0, 0
-		} else {
-			if fm.Shard < 0 || fm.Shard >= fm.Shards {
-				return Spec{}, fmt.Errorf("%w: faultmap.shard = %d not in [0, %d)", ErrBadSpec, fm.Shard, fm.Shards)
-			}
-			if s.CSV {
-				return Spec{}, fmt.Errorf("%w: sharded faultmap jobs emit a JSON partial, csv does not apply", ErrBadSpec)
-			}
+		if err := normalizeShard("faultmap", &fm.Shards, &fm.Shard, s.CSV); err != nil {
+			return Spec{}, err
 		}
 		out.FaultMap = &fm
 	case KindNoiseScan:
@@ -549,15 +536,8 @@ func (s Spec) Normalize() (Spec, error) {
 		if ns.Below < 0 || ns.Above < 0 {
 			return Spec{}, fmt.Errorf("%w: noisescan range −%g/+%g V, want >= 0", ErrBadSpec, ns.Below, ns.Above)
 		}
-		if ns.Shards <= 1 {
-			ns.Shards, ns.Shard = 0, 0
-		} else {
-			if ns.Shard < 0 || ns.Shard >= ns.Shards {
-				return Spec{}, fmt.Errorf("%w: noisescan.shard = %d not in [0, %d)", ErrBadSpec, ns.Shard, ns.Shards)
-			}
-			if s.CSV {
-				return Spec{}, fmt.Errorf("%w: sharded noisescan jobs emit a JSON partial, csv does not apply", ErrBadSpec)
-			}
+		if err := normalizeShard("noisescan", &ns.Shards, &ns.Shard, s.CSV); err != nil {
+			return Spec{}, err
 		}
 		out.NoiseScan = &ns
 	default:
@@ -688,4 +668,21 @@ func (s Spec) Key() (string, error) {
 		return "", err
 	}
 	return store.Key(c), nil
+}
+
+// normalizeShard applies the shard parameter rule to a sharded kind's
+// (shards, shard) pair: a whole job omits both (0, 0) from the
+// canonical spec; a shard job must name a shard in [0, shards) and
+// emits a JSON partial, so csv does not apply to it.
+func normalizeShard(kind string, shards, idx *int, csv bool) error {
+	k, _, err := shard.Normalize(*shards, *idx)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: %s.%v", ErrBadSpec, kind, err)
+	case k == 1:
+		*shards, *idx = 0, 0
+	case csv:
+		return fmt.Errorf("%w: sharded %s jobs emit a JSON partial, csv does not apply", ErrBadSpec, kind)
+	}
+	return nil
 }

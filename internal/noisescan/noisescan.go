@@ -22,6 +22,7 @@ import (
 
 	"sramtest/internal/engine"
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 )
 
 // Defaults and protocol constants.
@@ -115,11 +116,9 @@ func (p Params) withDefaults() (Params, error) {
 	if err := p.Noise.Validate(); err != nil {
 		return p, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	if p.Shards <= 1 {
-		p.Shards, p.Shard = 1, 0
-	}
-	if p.Shard < 0 || p.Shard >= p.Shards {
-		return p, fmt.Errorf("%w: shard %d not in [0, %d)", ErrBadParams, p.Shard, p.Shards)
+	var err error
+	if p.Shards, p.Shard, err = shard.Normalize(p.Shards, p.Shard); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
 	return p, nil
 }

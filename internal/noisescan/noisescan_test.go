@@ -3,6 +3,7 @@ package noisescan
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardMergeMatchesLocal: a 2-shard and a 3-shard fan-out merge to
+// TestShardMergeMatchesLocal: a 1-, 2- and 3-shard fan-out merge to
 // the exact bytes of the unsharded run (the cluster contract).
 func TestShardMergeMatchesLocal(t *testing.T) {
 	ctx := context.Background()
@@ -47,7 +48,7 @@ func TestShardMergeMatchesLocal(t *testing.T) {
 	}
 	want, _ := json.Marshal(full)
 
-	for _, shards := range []int{2, 3} {
+	for _, shards := range []int{1, 2, 3} {
 		parts := make([]Partial, shards)
 		for s := 0; s < shards; s++ {
 			p := quickParams()
@@ -165,8 +166,10 @@ func TestParamValidation(t *testing.T) {
 			t.Errorf("case %d: bad params accepted: %+v", i, p)
 		}
 	}
-	if _, err := ShardPartial(context.Background(), quickParams()); err == nil {
-		t.Error("unsharded ShardPartial accepted")
+	p := quickParams()
+	p.Shards = 2
+	if res, err := Scan(context.Background(), p); !errors.Is(err, ErrBadParams) {
+		t.Errorf("Scan with Shards 2 = (%+v, %v), want ErrBadParams", res, err)
 	}
 }
 

@@ -2,8 +2,10 @@ package noisescan
 
 import (
 	"context"
+	"fmt"
 
 	"sramtest/internal/engine"
+	"sramtest/internal/shard"
 	"sramtest/internal/spice"
 	"sramtest/internal/sweep"
 )
@@ -49,15 +51,6 @@ func runPoint(p Params, static float64, i int) (PointStat, error) {
 	return st, nil
 }
 
-// shardPoints lists the point indices owned by p's shard, in order.
-func shardPoints(p Params) []int {
-	out := make([]int, 0, p.Points/p.Shards+1)
-	for i := p.Shard; i < p.Points; i += p.Shards {
-		out = append(out, i)
-	}
-	return out
-}
-
 // run executes the shared scan engine: calibrate the thresholds, fan
 // the shard's points over the sweep engine, and either finalize (full
 // scan) or export the partial.
@@ -76,7 +69,7 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 	}
 	cal.EffDRV = engine.EffectiveDRV1(cs.Variation, p.Cond, p.Noise, spice.DefaultOptions())
 
-	idx := shardPoints(p)
+	idx := shard.Owned(p.Points, p.Shards, p.Shard)
 	stats, err := sweep.MapCtx(ctx, len(idx), func(i int) (PointStat, error) {
 		return runPoint(p, cal.StaticDRV, idx[i])
 	}, sweep.Workers(p.Workers))
@@ -106,18 +99,20 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 	return res, part, nil
 }
 
-// Scan runs the whole flip-probability scan (Params.Shards <= 1).
+// Scan runs the whole flip-probability scan; Params.Shards > 1 is
+// refused with ErrBadParams (use ShardPartial + MergePartials).
 func Scan(ctx context.Context, p Params) (Result, error) {
+	if err := shard.Whole(p.Shards); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
+	}
 	res, _, err := run(ctx, p)
 	return res, err
 }
 
-// ShardPartial runs only this shard's points and returns the mergeable
-// raw tallies (see MergePartials).
+// ShardPartial runs only this shard's points (any valid Shards/Shard,
+// Shards <= 1 being the whole scan) and returns the mergeable raw
+// tallies (see MergePartials).
 func ShardPartial(ctx context.Context, p Params) (Partial, error) {
-	if p.Shards <= 1 {
-		return Partial{}, ErrBadParams
-	}
 	_, part, err := run(ctx, p)
 	return part, err
 }

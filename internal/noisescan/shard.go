@@ -2,10 +2,10 @@ package noisescan
 
 import (
 	"fmt"
-	"sort"
 
 	"sramtest/internal/engine"
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 )
 
 // PartialVersion tags the Partial wire format; a merger refuses any
@@ -47,80 +47,47 @@ type Partial struct {
 // mergeHeader is the merge-identity of a partial: everything that must
 // agree across shards, in a comparable struct.
 type mergeHeader struct {
-	Version   int
 	CaseStudy int
 	Cond      process.Condition
 	Points    int
 	Below     float64
 	Above     float64
 	Noise     engine.NoiseParams
-	Shards    int
 	Calib     Calib
 }
 
-// header extracts the merge-identity of the partial.
-func (p Partial) header() mergeHeader {
-	return mergeHeader{
-		Version:   p.Version,
-		CaseStudy: p.CaseStudy,
-		Cond:      p.Cond,
-		Points:    p.Points,
-		Below:     p.Below,
-		Above:     p.Above,
-		Noise:     p.Noise,
-		Shards:    p.Shards,
-		Calib:     p.Calib,
+// view is the partial as the shared merge sees it.
+func (p Partial) view() shard.Part[mergeHeader, PointStat] {
+	return shard.Part[mergeHeader, PointStat]{
+		Version: p.Version,
+		Shards:  p.Shards,
+		Shard:   p.Shard,
+		Head: mergeHeader{
+			CaseStudy: p.CaseStudy,
+			Cond:      p.Cond,
+			Points:    p.Points,
+			Below:     p.Below,
+			Above:     p.Above,
+			Noise:     p.Noise,
+			Calib:     p.Calib,
+		},
+		N:     p.Points,
+		Units: p.Stats,
 	}
 }
 
-// MergePartials reassembles a full scan from one partial per shard. It
-// verifies that every shard ran the same job (identical header and
-// calibration), that exactly the expected shards are present, and that
-// the union of points covers the grid with no gap or overlap — then
-// reduces them through the same point-ordered finalize as a local run,
-// reproducing its bytes exactly.
+// MergePartials reassembles a full scan from one partial per shard.
+// shard.Merge verifies that every shard ran the same job (identical
+// header and calibration), that exactly the expected shards are
+// present, and that the union of points covers the grid with no gap or
+// overlap; the points are then reduced through the same point-ordered
+// finalize as a local run, reproducing its bytes exactly.
 func MergePartials(parts []Partial) (Result, error) {
-	if len(parts) == 0 {
-		return Result{}, fmt.Errorf("%w: no partials to merge", ErrBadParams)
+	stats, err := shard.Merge(parts, Partial.view, PartialVersion, func(st PointStat) int { return st.Point })
+	if err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	ref := parts[0]
-	if ref.Version != PartialVersion {
-		return Result{}, fmt.Errorf("%w: partial version %d, want %d", ErrBadParams, ref.Version, PartialVersion)
-	}
-	if len(parts) != ref.Shards {
-		return Result{}, fmt.Errorf("%w: %d partials for %d shards", ErrBadParams, len(parts), ref.Shards)
-	}
-
-	head := ref.header()
-	seen := make(map[int]bool, len(parts))
-	var stats []PointStat
-	for _, p := range parts {
-		if p.header() != head {
-			return Result{}, fmt.Errorf("%w: shard %d disagrees on the job header or calibration", ErrBadParams, p.Shard)
-		}
-		if p.Shard < 0 || p.Shard >= ref.Shards || seen[p.Shard] {
-			return Result{}, fmt.Errorf("%w: bad or duplicate shard index %d", ErrBadParams, p.Shard)
-		}
-		seen[p.Shard] = true
-		for _, st := range p.Stats {
-			if st.Point%ref.Shards != p.Shard {
-				return Result{}, fmt.Errorf("%w: shard %d reports foreign point %d", ErrBadParams, p.Shard, st.Point)
-			}
-		}
-		stats = append(stats, p.Stats...)
-	}
-
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Point < stats[j].Point })
-	if len(stats) != ref.Points {
-		return Result{}, fmt.Errorf("%w: merged %d points, want %d", ErrBadParams, len(stats), ref.Points)
-	}
-	for i, st := range stats {
-		if st.Point != i {
-			return Result{}, fmt.Errorf("%w: point %d missing from the merge", ErrBadParams, i)
-		}
-	}
-
-	merged := ref
+	merged := parts[0]
 	merged.Shards, merged.Shard, merged.Stats = 1, 0, stats
 	return finalize(merged), nil
 }

@@ -15,9 +15,7 @@ func (ImportanceSampler) Name() string { return MethodIS }
 
 // Estimate implements Estimator.
 func (ImportanceSampler) Estimate(ctx context.Context, p Params) (Result, error) {
-	p.Shards, p.Shard = 1, 0
-	res, _, err := run(ctx, p, MethodIS, true)
-	return res, err
+	return estimate(ctx, p, MethodIS, true)
 }
 
 // Partial implements Estimator.

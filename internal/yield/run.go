@@ -2,11 +2,13 @@ package yield
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 
 	"sramtest/internal/num"
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 	"sramtest/internal/sweep"
 )
 
@@ -81,14 +83,16 @@ func runChunk(p Params, s *screen, prop *proposal, shifted bool, c int) ChunkSta
 	return st
 }
 
-// shardChunks lists the chunk indices owned by p's shard, in order.
-func shardChunks(p Params) []int {
-	total := (p.Samples + Chunk - 1) / Chunk
-	out := make([]int, 0, total/p.Shards+1)
-	for c := p.Shard; c < total; c += p.Shards {
-		out = append(out, c)
+// numChunks is the number of sampling chunks of a sample budget.
+func numChunks(samples int) int { return (samples + Chunk - 1) / Chunk }
+
+// estimate runs a whole estimate: the Estimate of both estimators.
+func estimate(ctx context.Context, p Params, method string, shifted bool) (Result, error) {
+	if err := shard.Whole(p.Shards); err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	return out
+	res, _, err := run(ctx, p, method, shifted)
+	return res, err
 }
 
 // run executes the shared estimator engine: calibrate the screen, fan
@@ -105,7 +109,7 @@ func run(ctx context.Context, p Params, method string, shifted bool) (Result, Pa
 
 	var chunks []ChunkStat
 	if !s.certified(p.Vref) {
-		idx := shardChunks(p)
+		idx := shard.Owned(numChunks(p.Samples), p.Shards, p.Shard)
 		chunks, err = sweep.MapCtx(ctx, len(idx), func(i int) (ChunkStat, error) {
 			return runChunk(p, s, prop, shifted, idx[i]), nil
 		}, sweep.Workers(p.Workers))

@@ -44,6 +44,7 @@ import (
 
 	"sramtest/internal/cell"
 	"sramtest/internal/process"
+	"sramtest/internal/shard"
 )
 
 // Defaults and protocol constants.
@@ -136,11 +137,9 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Vref <= 0 {
 		p.Vref = DefaultVref
 	}
-	if p.Shards <= 1 {
-		p.Shards, p.Shard = 1, 0
-	}
-	if p.Shard < 0 || p.Shard >= p.Shards {
-		return p, fmt.Errorf("%w: shard %d not in [0, %d)", ErrBadParams, p.Shard, p.Shards)
+	var err error
+	if p.Shards, p.Shard, err = shard.Normalize(p.Shards, p.Shard); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
 	if p.Model == nil {
 		p.Model = CellModel{}
@@ -208,9 +207,11 @@ type Result struct {
 type Estimator interface {
 	// Name returns the method name used in job specs ("is", "blockade").
 	Name() string
-	// Estimate runs the full estimate (Params.Shards <= 1).
+	// Estimate runs the full estimate; Params.Shards > 1 is refused
+	// with ErrBadParams.
 	Estimate(ctx context.Context, p Params) (Result, error)
-	// Partial runs only this shard's chunks and returns the mergeable
+	// Partial runs only this shard's chunks (any valid Shards/Shard,
+	// Shards <= 1 being the whole estimate) and returns the mergeable
 	// sufficient statistics (see MergePartials).
 	Partial(ctx context.Context, p Params) (Partial, error)
 }

@@ -2,6 +2,7 @@ package yield
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -279,6 +280,27 @@ func TestMergeRejects(t *testing.T) {
 	if _, err := MergePartials([]Partial{bad2, bad}); err == nil {
 		t.Error("future version accepted")
 	}
+
+	// A certified estimate samples nothing: its partials carry no chunks.
+	flat := Params{Cond: testCond, Vref: 0.5, Samples: 256, Seed: DefaultSeed, Model: linModel{c: 0.05}, Shards: 2}
+	var cert [2]Partial
+	for s := range cert {
+		sp := flat
+		sp.Shard = s
+		if cert[s], err = est.Partial(context.Background(), sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !cert[0].Certified() {
+		t.Fatal("flat 50 mV model at Vref = 500 mV not certified")
+	}
+	if _, err := MergePartials(cert[:]); err != nil {
+		t.Errorf("certified merge rejected: %v", err)
+	}
+	cert[0].Chunks = []ChunkStat{{Chunk: 0, N: 32, SumW: 32, SumW2: 32}}
+	if _, err := MergePartials(cert[:]); !errors.Is(err, ErrBadParams) {
+		t.Errorf("certified partial carrying a chunk: err = %v, want ErrBadParams", err)
+	}
 }
 
 // TestCertificate checks the P = 0 fast path: a model whose DRV is
@@ -354,6 +376,13 @@ func TestParamsValidation(t *testing.T) {
 		p.Cond, p.Model = testCond, linModel{c: 0.1, g: oracleGrad}
 		if _, err := est.Partial(ctx, p); err == nil {
 			t.Errorf("case %d accepted: %+v", i, p)
+		}
+	}
+	for _, method := range Methods() {
+		est, _ := New(method)
+		p := Params{Cond: testCond, Samples: 64, Model: linModel{c: 0.1, g: oracleGrad}, Shards: 2}
+		if res, err := est.Estimate(ctx, p); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: Estimate with Shards 2 = (%+v, %v), want ErrBadParams", method, res, err)
 		}
 	}
 	if _, err := New("annealing"); err == nil {
