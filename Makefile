@@ -8,7 +8,6 @@
 #   make serve-smoke  end-to-end sramd daemon smoke test
 #   make diag-smoke   end-to-end diagnose CLI smoke test
 #   make diag-index-smoke  fleet-scale dictionary: index byte-identity, >=20x, streaming
-#   make engine-smoke engine matrix: spice vs tiered must emit identical bytes
 #   make cluster-smoke  3-node cluster batch must be byte-identical to one node
 #   make loadgen-smoke  short load-generator run; fails on any dropped request
 #   make yield-smoke  yield estimate: local, cluster shards and daemon job
@@ -21,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmt test race fuzz bench bench-report serve-smoke diag-smoke diag-index-smoke engine-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
+.PHONY: verify build vet fmt test race fuzz bench bench-report serve-smoke diag-smoke diag-index-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
 
 verify: build vet fmt test
 
@@ -62,9 +61,6 @@ diag-smoke:
 
 diag-index-smoke:
 	sh scripts/diag-index-smoke.sh
-
-engine-smoke:
-	sh scripts/engine-smoke.sh
 
 cluster-smoke:
 	sh scripts/cluster-smoke.sh

@@ -38,8 +38,6 @@ import (
 	"sramtest/internal/diag/diagtest"
 	"sramtest/internal/diag/index"
 	"sramtest/internal/engine"
-	"sramtest/internal/engine/surrogate"
-	tieredbe "sramtest/internal/engine/tiered"
 	"sramtest/internal/exp"
 	"sramtest/internal/faultmap"
 	"sramtest/internal/march"
@@ -133,67 +131,6 @@ func reportSolverStats(b *testing.B, d spice.SolverStats) {
 	}
 	b.ReportMetric(d.ItersPerSolve(), "newton-iters/solve")
 	b.ReportMetric(float64(d.Solves)/float64(b.N), "solves/op")
-}
-
-// BenchmarkTable2Tiered reruns a two-defect Table II workload under the
-// exact backend and the tiered backend and gates the headline claim of
-// the engine seam: the tiered backend produces the identical table (the
-// equivalence goldens live in internal/charac) with at least 3× fewer
-// full-SPICE solves. Solve and screen counters are deterministic at
-// workers=1, so the gate is stable, not noisy.
-func BenchmarkTable2Tiered(b *testing.B) {
-	defects := []regulator.Defect{regulator.Df12, regulator.Df16}
-	css := process.Table1CaseStudies()
-	opt := charac.DefaultOptions()
-	opt.Conditions = []process.Condition{hot(1.0)}
-	opt.Workers = 1
-
-	run := func(b *testing.B, eng engine.Engine) int64 {
-		o := opt
-		o.Engine = eng
-		before := spice.Stats()
-		for i := 0; i < b.N; i++ {
-			charac.ResetCache() // measure cold searches, not memo hits
-			surrogate.ResetTables()
-			res, err := charac.CharacterizeAll(defects, css, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res) != len(defects)*len(css) {
-				b.Fatalf("got %d results", len(res))
-			}
-		}
-		d := spice.Stats().Sub(before)
-		reportSolverStats(b, d)
-		return d.Solves / int64(b.N)
-	}
-
-	var exact, tiered int64
-	b.Run("spice", func(b *testing.B) { exact = run(b, nil) })
-	b.Run("tiered", func(b *testing.B) {
-		before := engine.Stats()
-		tiered = run(b, tieredbe.New())
-		reportEngineStats(b, engine.Stats().Sub(before))
-	})
-	if exact > 0 && tiered > 0 {
-		ratio := float64(exact) / float64(tiered)
-		b.Logf("full-SPICE solves/op: spice=%d tiered=%d (%.2fx fewer)", exact, tiered, ratio)
-		if ratio < 3 {
-			b.Errorf("tiered backend saved only %.2fx solves, want >= 3x", ratio)
-		}
-	}
-}
-
-// reportEngineStats attaches the tiered engine's screen/escalation split
-// to a benchmark (the same counters sramd exports at /metrics).
-func reportEngineStats(b *testing.B, d engine.EngineStats) {
-	if d.Screened+d.Escalations == 0 {
-		return
-	}
-	b.ReportMetric(float64(d.Screened)/float64(b.N), "screened/op")
-	b.ReportMetric(float64(d.Escalations)/float64(b.N), "escalations/op")
-	b.ReportMetric(float64(d.CalSolves)/float64(b.N), "cal-solves/op")
-	b.ReportMetric(d.ScreenRatio(), "screen-ratio")
 }
 
 // BenchmarkTable2Parallel measures the sweep engine on a Table II slice
@@ -343,57 +280,6 @@ func BenchmarkDictionaryBuild(b *testing.B) {
 		}
 	}
 	reportSolverStats(b, spice.Stats().Sub(before))
-}
-
-// BenchmarkDictionaryBuildTiered reruns a dictionary build under both
-// backends and gates the ≥3× solve saving. The candidate grid is larger
-// than BenchmarkDictionaryBuild's on purpose: the surrogate pays a
-// fixed calibration cost per (condition, defect) rail, amortized across
-// the case studies and decades sharing that rail — on a grid this size
-// the saving is ~3.8×, while on the four-candidate micro grid above
-// calibration would dominate.
-func BenchmarkDictionaryBuildTiered(b *testing.B) {
-	opt := diag.DefaultOptions()
-	opt.Defects = []regulator.Defect{regulator.Df1, regulator.Df12, regulator.Df16, regulator.Df26}
-	opt.CaseStudies = process.Table1CaseStudies()
-	opt.Decades = []float64{1e4, 1e5, 1e6}
-	opt.BaseOnly = true
-	opt.Workers = 1
-
-	run := func(b *testing.B, eng engine.Engine) int64 {
-		o := opt
-		o.Engine = eng
-		before := spice.Stats()
-		for i := 0; i < b.N; i++ {
-			diag.ResetCache() // measure cold builds, not memo hits
-			surrogate.ResetTables()
-			d, err := diag.Build(o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(d.Entries)+d.Undetected != len(opt.Defects)*len(opt.CaseStudies)*len(opt.Decades) {
-				b.Fatalf("got %d entries + %d undetected", len(d.Entries), d.Undetected)
-			}
-		}
-		d := spice.Stats().Sub(before)
-		reportSolverStats(b, d)
-		return d.Solves / int64(b.N)
-	}
-
-	var exact, tiered int64
-	b.Run("spice", func(b *testing.B) { exact = run(b, nil) })
-	b.Run("tiered", func(b *testing.B) {
-		before := engine.Stats()
-		tiered = run(b, tieredbe.New())
-		reportEngineStats(b, engine.Stats().Sub(before))
-	})
-	if exact > 0 && tiered > 0 {
-		ratio := float64(exact) / float64(tiered)
-		b.Logf("full-SPICE solves/op: spice=%d tiered=%d (%.2fx fewer)", exact, tiered, ratio)
-		if ratio < 3 {
-			b.Errorf("tiered backend saved only %.2fx solves, want >= 3x", ratio)
-		}
-	}
 }
 
 // BenchmarkDiagnose times one full adaptive diagnosis — observe the

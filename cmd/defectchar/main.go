@@ -36,15 +36,10 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV")
 	)
 	applyWorkers := cli.Workers(flag.CommandLine)
-	applyEngine := cli.Engine(flag.CommandLine)
 	applyCriterion := cli.Criterion(flag.CommandLine)
 	startProfile := cli.Profile(flag.CommandLine)
 	flag.Parse()
 	applyWorkers()
-	if err := applyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "defectchar:", err)
-		os.Exit(2)
-	}
 	if err := applyCriterion(); err != nil {
 		fmt.Fprintln(os.Stderr, "defectchar:", err)
 		os.Exit(2)

@@ -102,14 +102,11 @@ func runBuild(args []string) {
 	decadesFlag := fs.String("decades", "", "comma-separated open resistances in Ω (default: 1 kΩ..100 MΩ decades)")
 	baseOnly := fs.Bool("base-only", false, "skip the refiner's extra-condition signatures (~4× cheaper build)")
 	points := fs.Int("points-per-decade", 0, "subdivide each decade pair into N log-spaced steps (fine fleet grid, interpolated build)")
-	engineName := fs.String("engine", "", "simulation engine, recorded in the job spec (default spice)")
 	applyWorkers := cli.Workers(fs)
 	fs.Parse(args)
 	applyWorkers()
 
-	// The engine rides in the spec (not the process default) so the bytes
-	// land under the same store key the sramd diag job would use.
-	spec := jobs.Spec{Kind: jobs.KindDiag, Engine: *engineName, Diag: &jobs.DiagSpec{
+	spec := jobs.Spec{Kind: jobs.KindDiag, Diag: &jobs.DiagSpec{
 		Defects:         parseInts(*defectsFlag, "defect"),
 		CaseStudies:     parseInts(*csFlag, "case study"),
 		Decades:         parseFloats(*decadesFlag),
@@ -174,13 +171,8 @@ func runDiagnose(args []string, adaptive bool) {
 	res := fs.Float64("res", 0, "injected open resistance in Ω (required)")
 	csName := fs.String("cs", "CS1-1", "Table I case-study name sensitizing the defect")
 	applyWorkers := cli.Workers(fs)
-	applyEngine := cli.Engine(fs)
 	fs.Parse(args)
 	applyWorkers()
-	if err := applyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "diagnose:", err)
-		os.Exit(2)
-	}
 
 	defect := regulator.Defect(*defectN)
 	if !defect.Valid() {

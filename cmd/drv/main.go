@@ -35,14 +35,9 @@ func main() {
 		csv    = flag.Bool("csv", false, "emit CSV")
 	)
 	applyWorkers := cli.Workers(flag.CommandLine)
-	applyEngine := cli.Engine(flag.CommandLine)
 	startProfile := cli.Profile(flag.CommandLine)
 	flag.Parse()
 	applyWorkers()
-	if err := applyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "drv:", err)
-		os.Exit(2)
-	}
 	defer startProfile()()
 	if !*table1 && !*fig4 && !*dwell && *mc == 0 {
 		*table1 = true

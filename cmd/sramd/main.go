@@ -41,7 +41,6 @@ import (
 	"sramtest/internal/cluster"
 	"sramtest/internal/diag"
 	"sramtest/internal/diag/index"
-	"sramtest/internal/engine"
 	"sramtest/internal/jobs"
 	"sramtest/internal/server"
 	"sramtest/internal/store"
@@ -57,7 +56,6 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "persist results to this directory (empty = memory only)")
 		storeCap   = flag.Int("store-cap", 256, "max cached results before LRU eviction")
 		drainWait  = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for running jobs")
-		engineName = flag.String("engine", "", "default simulation engine for jobs that don't name one (default spice)")
 		inflight   = flag.Int("batch-inflight", 0, "concurrent jobs per /v1/batch request (0 = default: 16 node, 32 coordinator)")
 
 		coordinator = flag.Bool("coordinator", false, "run as cluster coordinator over -nodes instead of executing jobs")
@@ -73,11 +71,6 @@ func main() {
 	flag.Parse()
 	applyWorkers()
 
-	// Fail at boot on a bad engine name rather than at the first submit.
-	if _, err := engine.Resolve(*engineName); err != nil {
-		fmt.Fprintln(os.Stderr, "sramd:", err)
-		os.Exit(2)
-	}
 	// Fixture bytes share keys with real results; never let them reach a
 	// store that outlives the process.
 	if *simJob > 0 && *storeDir != "" {
@@ -103,7 +96,6 @@ func main() {
 			Nodes:          nodes,
 			StealThreshold: *stealAt,
 			MaxInflight:    *inflight,
-			DefaultEngine:  *engineName,
 			PollInterval:   *poll,
 			Store:          st,
 		})
@@ -118,12 +110,11 @@ func main() {
 			mr = -1 // jobs.Config treats negative as "no retries" (0 means default)
 		}
 		cfg := jobs.Config{
-			Workers:       *jobWorkers,
-			QueueDepth:    *queue,
-			JobTimeout:    *jobTimeout,
-			MaxRetries:    mr,
-			DefaultEngine: *engineName,
-			Store:         st,
+			Workers:    *jobWorkers,
+			QueueDepth: *queue,
+			JobTimeout: *jobTimeout,
+			MaxRetries: mr,
+			Store:      st,
 		}
 		if *simJob > 0 {
 			cfg.Run = jobs.FixtureRunner(*simJob)

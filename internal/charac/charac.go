@@ -10,9 +10,8 @@
 // load and the extra crowbar current of flipping cells) sets V_DD_CC; the
 // variation-affected cell's DRV and flip dynamics decide whether a 1 ms
 // DS dwell loses the stored datum. Since the engine seam (§5.9) the
-// criterion is evaluated through an engine.Eval, so the same search runs
-// on the exact SPICE backend, the calibrated surrogate, or the tiered
-// screen-then-confirm composition.
+// criterion is evaluated through an engine.Eval, whose one backend is
+// the exact SPICE solver (engine/spicebe).
 package charac
 
 import (
@@ -56,10 +55,9 @@ type Options struct {
 	// warm-start equivalence tests and for debugging suspicious
 	// convergence; production runs leave it false.
 	ColdStart bool
-	// Engine selects the simulation backend; nil uses the process
-	// default (engine.Default — the exact SPICE backend unless the
-	// -engine flag picked another). The backend's name is part of the
-	// point memo key, so runs with different engines never share points.
+	// Engine selects the simulation backend; nil uses the exact SPICE
+	// backend (engine.Default). The backend's name is part of the point
+	// memo key, so runs with a substituted engine never share points.
 	Engine engine.Engine
 	// Criterion selects the retention-decision criterion; nil uses the
 	// process default (engine.DefaultCriterion — Static unless the
@@ -77,7 +75,7 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// engine returns the options' backend, defaulting to the process default.
+// engine returns the options' backend, defaulting to the exact one.
 func (o Options) engine() engine.Engine { return engine.Pick(o.Engine) }
 
 // criterion returns the options' retention criterion, defaulting to the

@@ -12,9 +12,7 @@ import (
 	"strings"
 
 	"sramtest/internal/engine"
-	_ "sramtest/internal/engine/spicebe"   // default backend
-	_ "sramtest/internal/engine/surrogate" // -engine surrogate
-	_ "sramtest/internal/engine/tiered"    // -engine tiered
+	_ "sramtest/internal/engine/spicebe" // the simulation backend
 	"sramtest/internal/sweep"
 )
 
@@ -26,25 +24,6 @@ import (
 func Workers(fs *flag.FlagSet) (apply func()) {
 	n := fs.Int("workers", 0, "parallel sweep workers (0 = $SRAMTEST_WORKERS or GOMAXPROCS)")
 	return func() { sweep.SetDefaultWorkers(*n) }
-}
-
-// Engine registers the standard -engine flag on fs and returns an apply
-// function to call after fs.Parse: it resolves the chosen backend and
-// installs it as the process-wide default (engine.SetDefault), so every
-// sweep whose options leave Engine nil follows the flag. The empty value
-// keeps the exact "spice" backend. By the tiered backend's equivalence
-// contract, switching engines changes solve counts, never results.
-func Engine(fs *flag.FlagSet) (apply func() error) {
-	name := fs.String("engine", "",
-		fmt.Sprintf("simulation engine: %s (default spice)", strings.Join(engine.Names(), "|")))
-	return func() error {
-		e, err := engine.Resolve(*name)
-		if err != nil {
-			return err
-		}
-		engine.SetDefault(e)
-		return nil
-	}
 }
 
 // Criterion registers the standard -criterion flag on fs and returns an

@@ -32,11 +32,6 @@ type Config struct {
 	// MaxInflight bounds concurrently executing specs per batch request;
 	// intake beyond it waits, which is the batch backpressure. Default 32.
 	MaxInflight int
-	// DefaultEngine fills a submitted spec's empty Engine field, exactly
-	// like a node's -engine flag. The coordinator then pins the resolved
-	// engine explicitly in what it forwards, so a node configured with a
-	// different default can never rewrite the job.
-	DefaultEngine string
 	// PollInterval paces remote job status polls. Default 25ms.
 	PollInterval time.Duration
 	// RetryCooldown is how long a node that failed a request is skipped
@@ -267,32 +262,18 @@ func (c *Coordinator) addInflight(ns *nodeState, d int64) {
 	c.mu.Unlock()
 }
 
-// prepare normalizes spec (injecting the coordinator's default engine)
-// and returns its canonical bytes, store key, and the body to forward —
-// the canonical spec with the engine pinned explicitly, so the node's
-// own -engine default cannot rewrite the job and the node computes the
-// same store key the coordinator did.
-func (c *Coordinator) prepare(spec jobs.Spec) (canon []byte, key string, body []byte, err error) {
-	if spec.Engine == "" {
-		spec.Engine = c.cfg.DefaultEngine
-	}
+// prepare normalizes spec and returns its canonical bytes — also the
+// body forwarded to nodes, which normalize it to the same bytes and so
+// compute the same store key — and that key.
+func (c *Coordinator) prepare(spec jobs.Spec) (canon []byte, key string, err error) {
 	norm, err := spec.Normalize()
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	if canon, err = json.Marshal(norm); err != nil {
-		return nil, "", nil, err
+		return nil, "", err
 	}
-	key = store.Key(canon)
-	body = canon
-	if norm.Engine == "" { // canonical spelling of the exact backend
-		pinned := norm
-		pinned.Engine = "spice"
-		if body, err = json.Marshal(pinned); err != nil {
-			return nil, "", nil, err
-		}
-	}
-	return canon, key, body, nil
+	return canon, store.Key(canon), nil
 }
 
 // specOutcome is a completed spec: its key, result bytes, and where
@@ -309,7 +290,7 @@ type specOutcome struct {
 // surviving nodes when a node dies mid-job. Full queues everywhere park
 // the caller (backpressure) rather than failing the spec.
 func (c *Coordinator) runSpec(ctx context.Context, spec jobs.Spec) (specOutcome, error) {
-	canon, key, body, err := c.prepare(spec)
+	canon, key, err := c.prepare(spec)
 	if err != nil {
 		return specOutcome{}, err
 	}
@@ -329,7 +310,7 @@ func (c *Coordinator) runSpec(ctx context.Context, spec jobs.Spec) (specOutcome,
 		}
 		allBusy := true
 		for _, ns := range c.plan(key) {
-			res, err := c.runOn(ctx, ns, body)
+			res, err := c.runOn(ctx, ns, canon)
 			if err == nil {
 				if c.cfg.Store != nil {
 					_ = c.cfg.Store.Put(key, canon, res) // replicate; degrade silently

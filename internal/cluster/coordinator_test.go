@@ -268,31 +268,6 @@ func TestBatchReplicatesIntoCoordinatorStore(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPinsEngineDefault: a node configured with a different
-// default engine must not rewrite jobs the coordinator forwards — the
-// coordinator pins its own resolved engine explicitly, so keys and
-// bytes stay those of the exact backend.
-func TestCoordinatorPinsEngineDefault(t *testing.T) {
-	_, bases := startNodes(t, 1, jobs.Config{Run: jobs.FixtureRunner(0), DefaultEngine: "surrogate"})
-	_, coordSrv := startCoordinator(t, bases, nil) // coordinator default: spice
-
-	s := expSpec(8, 7)
-	key, err := s.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := byIndex(t, mustBatch(t, coordSrv.URL, [][]byte{specLine(t, s)}), 1)[0]
-	if res.State != cluster.BatchStateDone {
-		t.Fatalf("state %s (%s)", res.State, res.Error)
-	}
-	if res.Key != key {
-		t.Fatalf("key %q, want the exact-engine key %q — the node's -engine default rewrote the job", res.Key, key)
-	}
-	if want := fixtureBytes(t, s); !bytes.Equal(res.Result, want) {
-		t.Fatalf("result bytes diverge from the exact-engine fixture")
-	}
-}
-
 // TestSubmitProxyLifecycle drives the single-job proxy path: submit
 // through the coordinator, poll its local ID, fetch the result, and see
 // the resubmission hit the coordinator's replica store.

@@ -124,7 +124,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed spec: "+err.Error())
 		return
 	}
-	canon, key, body, err := c.prepare(spec)
+	canon, key, err := c.prepare(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -142,7 +142,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var lastErr error
 	for _, ns := range c.plan(key) {
-		st, code, err := c.submitTo(r.Context(), ns.base, body)
+		st, code, err := c.submitTo(r.Context(), ns.base, canon)
 		if err == nil {
 			rj := &remoteJob{node: ns.base, remoteID: st.ID, kind: st.Kind, key: key, canon: canon, created: time.Now().UTC()}
 			st.ID = c.recordID(rj)

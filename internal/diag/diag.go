@@ -89,11 +89,10 @@ type Options struct {
 	// solves behind every simulation (ablation/debug knob for the
 	// dictionary equivalence tests; production builds leave it false).
 	ColdStart bool
-	// Engine selects the simulation backend; nil uses the process
-	// default (engine.Default — exact SPICE unless the -engine flag
-	// picked another). The backend's name is part of the simulation
-	// memo key; the dictionary artifact itself records no engine, so a
-	// tiered-built dictionary is byte-identical to an exact one.
+	// Engine selects the simulation backend; nil uses the exact SPICE
+	// backend (engine.Default). The backend's name is part of the
+	// simulation memo key; the dictionary artifact itself records no
+	// engine.
 	Engine engine.Engine
 }
 

@@ -53,11 +53,9 @@ func ResetCache() { simCache.Reset() }
 // the solver falls back to homotopy from scratch when the seed misleads
 // Newton.
 //
-// The retention model is queried through the options' engine: the exact
-// backend builds the full electrical model up front (pre-seam behaviour,
-// relocated into engine/spicebe), while the tiered backend screens every
-// Survives decision against its calibrated rail band and materializes
-// the electrical model only when a decision is ambiguous.
+// The retention model is queried through the options' engine, which
+// builds the full electrical model up front (pre-seam behaviour,
+// relocated into engine/spicebe).
 func simulate(opt Options, cand Candidate, tc testflow.TestCondition, warm **spice.Solution) (CondSignature, error) {
 	eng := engine.Pick(opt.Engine)
 	key := simKey{

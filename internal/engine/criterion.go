@@ -12,9 +12,8 @@ import (
 
 // FlipActivationWidth is the voltage window above a cell's DRV in which
 // it already draws partial crowbar current (its noise margin is thin and
-// the internal nodes wander toward midpoint). Shared by the exact
-// backend's damped fixed point and the tiered screen's negligibility
-// bound, so both sides of the seam model the same physics.
+// the internal nodes wander toward midpoint). It shapes the activation
+// factor of the exact backend's damped fixed point.
 const FlipActivationWidth = 0.015 // V
 
 // CrowbarBreak is the extra-load threshold below which the DS fixed
@@ -23,23 +22,13 @@ const FlipActivationWidth = 0.015 // V
 // behaviour exactly).
 const CrowbarBreak = 0.5e-6 // A
 
-// crowbarScreenLimit is the tiered screen's version of CrowbarBreak: a
-// pass decision is only taken from the band when the worst-case
-// first-iteration load over the whole band stays below this,
-// guaranteeing the exact backend would have exited its fixed point with
-// the no-load rail the band bounds. The band itself already carries the
-// rail uncertainty (the load is bounded over the whole band), so any
-// value below CrowbarBreak is sound; the small gap absorbs the load
-// model's own floating-point wiggle.
-const crowbarScreenLimit = 0.49e-6 // A
-
 // Criterion is the pluggable retention-decision seam: given a settled
 // deep-sleep rail, does the cell lose its datum? The historical decision
 // — below the static DRV and flipping within the dwell — is the Static
 // criterion; the noise criterion (NewNoiseCriterion) tightens the
 // threshold with stochastic transient ensembles. Everything that is NOT
 // the lose/keep decision itself (crowbar activation, the DS fixed
-// point's exit rule, the band-screen soundness argument) stays anchored
+// point's exit rule) stays anchored
 // on the static DRV regardless of criterion, so the exact backend's
 // operating points — and with them every warm-start chain — are
 // byte-identical across criteria.
@@ -61,9 +50,10 @@ type Criterion interface {
 	// the cell bundle c. Must be monotone: a lower rail is never safer.
 	LostDC(c *CellCrit, v, dwell float64) bool
 	// MaxTighten bounds DRV1 − static DRV1 over all variations and
-	// conditions (0 for the static criterion). The band screens use it as
-	// a conservative noise margin: rails at least MaxTighten above the
-	// static DRV can be decided without running a single ensemble.
+	// conditions (0 for the static criterion). Characterization reads it
+	// to tell a tightening criterion, which may legitimately fail a
+	// fault-free cell at a margin-poor condition, from the static one,
+	// where such a failure means broken calibration.
 	MaxTighten() float64
 }
 
@@ -101,9 +91,7 @@ func (Static) MaxTighten() float64 { return 0 }
 
 // CellCrit caches the cell-side quantities of the DRF criterion for one
 // (case study, condition): the 6T model, its static DRV, and the
-// pluggable decision criterion. Both the exact backend and the tiered
-// screen evaluate the same object, so a screened decision and an
-// escalated one can never disagree on the cell's thresholds.
+// pluggable decision criterion.
 //
 // DRV1 is always the STATIC threshold: the crowbar activation and the
 // solver-side fixed-point behaviour hang off it and must not move when
@@ -156,88 +144,6 @@ func (c *CellCrit) Activation(v float64) float64 {
 // extra crowbar load at rail v: cells × per-cell crowbar × activation.
 func (c *CellCrit) CrowbarNext(v float64) float64 {
 	return float64(c.CS.Cells) * c.Cell.CrowbarCurrent(v) * c.Activation(v)
-}
-
-// crowbarQuiet reports whether the worst-case first-iteration crowbar
-// load over the band is below the fixed point's own exit threshold, so
-// the exact backend would break out with the no-load rail the band
-// bounds. The activation is monotone decreasing in the rail (worst at
-// Lo); the per-cell crowbar current is smooth, so its band extremes
-// bound it.
-func (c *CellCrit) crowbarQuiet(band Rail) bool {
-	ib := math.Max(c.Cell.CrowbarCurrent(band.Lo), c.Cell.CrowbarCurrent(band.Hi))
-	return float64(c.CS.Cells)*ib*c.Activation(band.Lo) < crowbarScreenLimit
-}
-
-// DecideLostDC screens the DC DRF criterion against a rail band without
-// solving. It returns (lost, true) only when the exact backend would
-// provably agree for any true no-load rail inside the band:
-//
-//   - Pass is safe without consulting the criterion at all when the
-//     band's bottom clears the static DRV by the criterion's MaxTighten
-//     margin (no criterion can declare a loss up there) AND the crowbar
-//     load cannot move the operating point. For the noise criterion this
-//     conservative-margin branch is what lets the surrogate and tiered
-//     backends skip transient ensembles on the vast majority of clearly
-//     passing points.
-//   - Fail is safe when the band's TOP already loses the datum: the
-//     criterion is monotone in the rail (a lower rail flips no slower),
-//     and the exact backend's crowbar load only pulls the rail further
-//     down from the no-load value the band bounds.
-//   - Pass is safe when the band's BOTTOM retains the datum (the full
-//     criterion, not just the threshold: marginally below the DRV the
-//     flip outlasts the dwell, and the flip time is monotone in the
-//     rail) AND the crowbar condition above holds.
-//
-// Anything else — the band straddles the threshold, or the crowbar load
-// could move the operating point — is left undecided for escalation.
-func (c *CellCrit) DecideLostDC(band Rail, dwell float64) (lost, decided bool) {
-	if mt := c.Crit.MaxTighten(); mt > 0 && band.Lo > 0 && band.Lo >= c.DRV1+mt {
-		if c.crowbarQuiet(band) {
-			return false, true
-		}
-		return false, false
-	}
-	if c.LostDC(band.Hi, dwell) {
-		return true, true
-	}
-	if band.Lo > 0 && !c.LostDC(band.Lo, dwell) && c.crowbarQuiet(band) {
-		return false, true
-	}
-	return false, false
-}
-
-// DecideSurvives screens the retention criterion (the behavioral SRAM's
-// Survives query, which has no crowbar feedback: the electrical
-// retention model solves the plain no-load operating point) against a
-// rail band. drv is the static DRV of the mirrored-as-needed cell. It
-// returns (survives, true) only when both band edges agree.
-//
-// The behavioral March/BIST retention path deliberately stays on the
-// static criterion: diagnosis dictionaries and coverage corpora are
-// static-calibrated artifacts, and the noise seam reaches fault maps
-// through their DRF marginals (faultmap.Model) instead.
-func DecideSurvives(cl *cell.Cell, drv float64, band Rail, dwell float64) (survives, decided bool) {
-	if dwell <= 0 {
-		if band.Lo >= drv {
-			return true, true
-		}
-		if band.Hi < drv {
-			return false, true
-		}
-		return false, false
-	}
-	// RetainsFor is monotone in the rail: a higher rail never flips
-	// faster. Decide only when both edges land on the same side. A
-	// band floored at ground (near the open-line end) cannot certify
-	// retention, and the cell model has no VTC at vcc = 0.
-	if band.Lo > 0 && cl.RetainsFor(band.Lo, dwell) {
-		return true, true
-	}
-	if !cl.RetainsFor(band.Hi, dwell) {
-		return false, true
-	}
-	return false, false
 }
 
 // CriterionModel adapts a Criterion to the DRV-model seams of the
@@ -316,7 +222,7 @@ func ResolveCriterion(name string) (Criterion, error) {
 }
 
 // defaultCriterion is the process-wide default, settable by the shared
-// -criterion flag (internal/cli), mirroring the engine default.
+// -criterion flag (internal/cli).
 var (
 	defaultCritMu    sync.Mutex
 	defaultCriterion Criterion

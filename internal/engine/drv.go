@@ -23,11 +23,10 @@ type drvKey struct {
 // bit on its next request.
 const DRVCacheCap = 1 << 13
 
-// drvCache memoizes the static-DRV bisection process-wide. Every backend
-// shares it — the DRV oracle is pure cell-level math, independent of the
-// circuit backend — so cross-engine equivalence runs never recompute a
-// threshold, and the characterization layers and Table I agree on every
-// value by construction. The fault-map calibration samples through it
+// drvCache memoizes the static-DRV bisection process-wide. The DRV
+// oracle is pure cell-level math, independent of the circuit backend,
+// so the characterization layers and Table I agree on every value by
+// construction. The fault-map calibration samples through it
 // too, so every shard of a corpus (and every rail of a rail curve) pays
 // its solves once. The Monte-Carlo experiment (100k distinct
 // variations) deliberately bypasses the memo to keep its footprint flat.

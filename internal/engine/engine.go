@@ -4,23 +4,15 @@
 // criteria through an Engine instead of calling the circuit solver
 // directly.
 //
-// Three backends implement the seam:
-//
-//   - engine/spicebe wraps the internal/spice Newton solver with the
-//     warm-start machinery the sweeps always used; it is the exact
-//     reference backend and the process default.
-//   - engine/surrogate answers rail queries from calibrated
-//     interpolation tables (SPICE-sampled once per condition/defect)
-//     with an explicit uncertainty band; fast and approximate.
-//   - engine/tiered screens every decision with the surrogate band and
-//     escalates to full SPICE whenever the band straddles a pass/fail
-//     boundary, so its reported numbers are always SPICE-confirmed while
-//     most solves are skipped.
+// One backend implements the seam: engine/spicebe wraps the
+// internal/spice Newton solver with the warm-start machinery the sweeps
+// always used. The registry lets callers substitute a backend (a test
+// stub, or an instrumented wrapper that registers itself under "spice")
+// without touching the sweep layers.
 //
 // The seam is decision-level, not solve-level: an Eval answers "does this
 // defect at this resistance lose the datum?" rather than "what is node
-// 17's voltage?", because that is the granularity at which a calibrated
-// band can safely short-circuit the Newton solve.
+// 17's voltage?".
 package engine
 
 import (
@@ -34,29 +26,15 @@ import (
 	"sramtest/internal/sram"
 )
 
-// Rail is a bounded estimate of the settled deep-sleep V_DD_CC (V).
-// Exact backends return Lo == Hi; the surrogate returns its interpolated
-// value widened by the local uncertainty margin.
-type Rail struct {
-	Lo, Hi float64
-}
-
-// Mid returns the band's center — the surrogate's point estimate.
-func (r Rail) Mid() float64 { return 0.5 * (r.Lo + r.Hi) }
-
-// Width returns the band's total width (0 for exact backends).
-func (r Rail) Width() float64 { return r.Hi - r.Lo }
-
 // Engine is one simulation backend. Engines are safe for concurrent use;
 // per-condition state lives in the Evals they hand out.
 type Engine interface {
-	// Name identifies the backend, including its calibration version
-	// ("spice", "surrogate.v1", "tiered.v1"). It is part of every memo
-	// and store key that caches engine results, so two backends can
-	// never collide in a cache.
+	// Name identifies the backend ("spice"). It is part of every memo
+	// key that caches engine results, so two backends can never collide
+	// in a cache.
 	Name() string
 	// Eval prepares a per-condition evaluation context (netlist, cell
-	// thresholds, calibration tables) for the given PVT condition and
+	// thresholds) for the given PVT condition and
 	// reference level. sopt carries the solver settings, notably the
 	// ColdStart ablation. crit selects the retention-decision criterion;
 	// nil resolves to the process default (Static unless a -criterion
@@ -78,8 +56,7 @@ type Engine interface {
 // equivalence contract).
 type Eval interface {
 	// FaultFreeRail returns the deep-sleep V_DD_CC of the healthy
-	// regulator. Reported by the flow optimizer, so the tiered backend
-	// always SPICE-confirms it.
+	// regulator (reported by the flow optimizer).
 	FaultFreeRail() (float64, error)
 	// Lost evaluates the full DRF criterion: does defect d at the given
 	// resistance make case study cs lose its stored '1' within the DS
@@ -89,8 +66,7 @@ type Eval interface {
 	// Retention builds the retention model of a device carrying defect d
 	// at the given resistance — the seam the behavioral SRAM and the
 	// March engine consume. warm optionally seeds the underlying solve;
-	// the returned solution continues the caller's warm chain (it is the
-	// input warm, unchanged, when the backend answered without solving).
+	// the returned solution continues the caller's warm chain.
 	Retention(d regulator.Defect, res float64, warm *spice.Solution) (sram.RetentionModel, *spice.Solution, error)
 	// Release returns pooled resources (regulator netlists) for reuse.
 	// The Eval and any retention model it produced must not be used
@@ -98,7 +74,7 @@ type Eval interface {
 	Release()
 }
 
-// registry maps flag-level engine names to constructors. Backends
+// registry maps engine names to constructors. Backends
 // register themselves from init; the indirection avoids import cycles
 // (backends import engine, never the reverse).
 var registry = struct {
@@ -106,16 +82,16 @@ var registry = struct {
 	ctors map[string]func() Engine
 }{ctors: map[string]func() Engine{}}
 
-// Register installs a backend constructor under a flag-level name
-// ("spice", "surrogate", "tiered"). Later registrations of the same name
-// win, so tests can stub backends.
+// Register installs a backend constructor under a name ("spice"). Later
+// registrations of the same name win, so tests and instrumented wrappers
+// can stub backends.
 func Register(name string, ctor func() Engine) {
 	registry.Lock()
 	defer registry.Unlock()
 	registry.ctors[name] = ctor
 }
 
-// Names lists the registered backends, sorted (flag help text).
+// Names lists the registered backends, sorted.
 func Names() []string {
 	registry.Lock()
 	defer registry.Unlock()
@@ -128,9 +104,7 @@ func Names() []string {
 }
 
 // Resolve constructs the backend registered under name. The empty name
-// resolves to "spice". Versioned names are accepted too ("surrogate.v1"
-// matches the "surrogate" constructor when its Name() agrees), so
-// canonical job specs round-trip.
+// resolves to "spice".
 func Resolve(name string) (Engine, error) {
 	if name == "" {
 		name = "spice"
@@ -138,50 +112,15 @@ func Resolve(name string) (Engine, error) {
 	registry.Lock()
 	ctor, ok := registry.ctors[name]
 	registry.Unlock()
-	if ok {
-		return ctor(), nil
+	if !ok {
+		return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
 	}
-	// Versioned spelling: match on the constructed engine's Name().
-	registry.Lock()
-	ctors := make([]func() Engine, 0, len(registry.ctors))
-	for _, c := range registry.ctors {
-		ctors = append(ctors, c)
-	}
-	registry.Unlock()
-	for _, c := range ctors {
-		if e := c(); e.Name() == name {
-			return e, nil
-		}
-	}
-	return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
+	return ctor(), nil
 }
 
-// defaultEngine is the process-wide default, settable by the shared
-// -engine flag (internal/cli). Guarded by defaultMu; read on every sweep
-// entry point whose options leave Engine nil.
-var (
-	defaultMu     sync.Mutex
-	defaultEngine Engine
-)
-
-// SetDefault installs the process-wide default engine. nil resets to the
-// built-in "spice" backend.
-func SetDefault(e Engine) {
-	defaultMu.Lock()
-	defaultEngine = e
-	defaultMu.Unlock()
-}
-
-// Default returns the process-wide default engine: the one installed by
-// SetDefault, else the registered "spice" backend. It panics when no
+// Default returns the registered "spice" backend. It panics when no
 // backend is linked in — every consumer package imports engine/spicebe.
 func Default() Engine {
-	defaultMu.Lock()
-	e := defaultEngine
-	defaultMu.Unlock()
-	if e != nil {
-		return e
-	}
 	e, err := Resolve("spice")
 	if err != nil {
 		panic("engine: no spice backend registered — import sramtest/internal/engine/spicebe")
@@ -189,7 +128,7 @@ func Default() Engine {
 	return e
 }
 
-// Pick returns e when non-nil, else the process default. Sweep options
+// Pick returns e when non-nil, else the default backend. Sweep options
 // use it to resolve their Engine field.
 func Pick(e Engine) Engine {
 	if e != nil {

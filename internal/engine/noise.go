@@ -30,9 +30,8 @@ type NoiseParams struct {
 	Window float64 // observed DS window per member run (s)
 	PFail  float64 // flip-fraction threshold defining the effective DRV
 	Tol    float64 // bisection tolerance on the effective DRV (V)
-	// MaxTighten caps the tightening above the static DRV (V). It doubles
-	// as the conservative noise margin of the band screens: rails further
-	// than this above the static DRV are decidable without ensembles.
+	// MaxTighten caps the tightening above the static DRV (V): the
+	// effective-DRV bisection searches [static, static+MaxTighten].
 	MaxTighten float64
 	Seed       int64 // master seed of the reserved ensemble streams
 }
@@ -156,8 +155,7 @@ func (n *NoiseCriterion) DRV0(v process.Variation, cond process.Condition) float
 // the statically-lost region (noise only accelerates a flip the DC
 // physics already drives). Dwells shorter than the window cannot see a
 // noise-induced flip, so the static criterion decides — keeping the
-// criterion monotone in the rail in both regimes, which DecideLostDC's
-// band logic requires.
+// criterion monotone in the rail in both regimes.
 func (n *NoiseCriterion) LostDC(c *CellCrit, v, dwell float64) bool {
 	if dwell >= n.P.Window {
 		return v < c.EffDRV1()

@@ -104,31 +104,6 @@ func TestNoiseLostDCRegimes(t *testing.T) {
 	}
 }
 
-// TestDecideLostDCConservativeMargin: a band clearing the static DRV by
-// the criterion's MaxTighten margin decides "pass" without running a
-// single transient ensemble — the screen the surrogate and tiered
-// backends rely on to keep noise runs surrogate-fast.
-func TestDecideLostDCConservativeMargin(t *testing.T) {
-	cond := noiseCond()
-	cs := caseStudy(t, "CS1-1")
-	// A private seed keeps the effective-DRV memo cold: if the screen
-	// leaked into an ensemble, the stats delta below would catch it.
-	p := engine.DefaultNoiseParams()
-	p.Seed = 987654321
-	c := engine.NewCellCrit(cs, cond, engine.NewNoiseCriterion(p))
-
-	band := engine.Rail{Lo: c.DRV1 + p.MaxTighten + 0.05, Hi: c.DRV1 + p.MaxTighten + 0.06}
-	before := spice.Stats()
-	lost, decided := c.DecideLostDC(band, 1.0)
-	d := spice.Stats().Sub(before)
-	if !decided || lost {
-		t.Fatalf("DecideLostDC(band above static+MaxTighten) = (%v, %v), want pass decided", lost, decided)
-	}
-	if d.EnsembleRuns != 0 || d.NoiseEvals != 0 {
-		t.Fatalf("conservative-margin screen ran ensembles: %+v", d)
-	}
-}
-
 // TestCriterionRegistry: resolution, canonical-name round-trips and the
 // process default.
 func TestCriterionRegistry(t *testing.T) {

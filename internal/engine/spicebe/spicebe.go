@@ -3,7 +3,7 @@
 // continuation machinery the sweeps always used. Its behaviour is
 // bit-identical to the pre-seam characterization and diagnosis paths —
 // it IS those paths, relocated behind the Engine interface — and it is
-// the process-default backend.
+// the one registered backend ("spice").
 package spicebe
 
 import (
@@ -28,8 +28,7 @@ type Engine struct{ engine.DRVOracle }
 // New returns the exact backend.
 func New() *Engine { return &Engine{} }
 
-// Name implements engine.Engine. No calibration version: the exact
-// backend's results are pinned by the repo's determinism contracts.
+// Name implements engine.Engine.
 func (*Engine) Name() string { return "spice" }
 
 // pool recycles regulator netlists per condition (moved here from
@@ -64,17 +63,10 @@ func putRegulator(cond process.Condition, r *regulator.Regulator) {
 // Eval implements engine.Engine: it prepares a per-condition context
 // with a pooled regulator set to the requested reference level.
 func (g *Engine) Eval(cond process.Condition, level regulator.VrefLevel, sopt spice.Options, crit engine.Criterion) (engine.Eval, error) {
-	return g.NewEval(cond, level, sopt, crit), nil
-}
-
-// NewEval is Eval without the interface wrapping, for the surrogate's
-// calibrator and the tiered backend, which need the concrete type
-// (RailAt, LostDetail, Crit).
-func (g *Engine) NewEval(cond process.Condition, level regulator.VrefLevel, sopt spice.Options, crit engine.Criterion) *Eval {
 	reg := getRegulator(cond)
 	reg.ClearDefects()
 	reg.SetVref(level)
-	return &Eval{cond: cond, level: level, sopt: sopt, crit: engine.PickCriterion(crit), reg: reg, crits: map[string]*engine.CellCrit{}}
+	return &Eval{cond: cond, level: level, sopt: sopt, crit: engine.PickCriterion(crit), reg: reg, crits: map[string]*engine.CellCrit{}}, nil
 }
 
 // Eval is the exact backend's per-condition context. Not safe for
@@ -116,20 +108,15 @@ func (e *Eval) inject(d regulator.Defect, res float64) {
 // solveDS computes the DS-mode V_DD_CC with the affected cells' extra
 // crowbar current folded in by a damped fixed point (DESIGN.md §5.4 —
 // keeping the Newton load monotone while still modeling the regenerative
-// CS5 effect). v0 is the first-iteration (no-load) rail — the quantity
-// the surrogate's calibration tables store, so an escalated probe can be
-// folded back into a table at zero extra solves.
-func (e *Eval) solveDS(c *engine.CellCrit, warm *spice.Solution) (v, v0 float64, sol *spice.Solution, err error) {
+// CS5 effect).
+func (e *Eval) solveDS(c *engine.CellCrit, warm *spice.Solution) (v float64, sol *spice.Solution, err error) {
 	extra := 0.0
 	for i := 0; i < 8; i++ {
 		e.reg.SetExtraLoad(extra)
 		v, sol, err = e.reg.SolveDSWith(warm, e.sopt)
 		if err != nil {
 			e.reg.SetExtraLoad(0)
-			return 0, 0, nil, err
-		}
-		if i == 0 {
-			v0 = v
+			return 0, nil, err
 		}
 		warm = sol
 		next := c.CrowbarNext(v)
@@ -140,7 +127,7 @@ func (e *Eval) solveDS(c *engine.CellCrit, warm *spice.Solution) (v, v0 float64,
 		extra = 0.5*extra + 0.5*next
 	}
 	e.reg.SetExtraLoad(0)
-	return v, v0, sol, nil
+	return v, sol, nil
 }
 
 // lostTransient decides the transient-defect criterion from the DS-entry
@@ -168,46 +155,26 @@ func (e *Eval) lostTransient(c *engine.CellCrit, dwell float64) (bool, error) {
 // Lost implements engine.Eval: the full DRF criterion for defect d at
 // resistance res.
 func (e *Eval) Lost(d regulator.Defect, res float64, cs process.CaseStudy, dwell float64) (bool, error) {
-	lost, _, _, err := e.LostDetail(d, res, cs, dwell)
-	return lost, err
-}
-
-// LostDetail is Lost plus the no-load deep-sleep rail of the solved
-// point. railOK reports whether rail is meaningful: transient-mode
-// evaluations (waveform criterion, no settled rail) and collapsed
-// operating points return railOK = false. The tiered backend uses the
-// rail to refine its calibration tables for free on every escalation.
-func (e *Eval) LostDetail(d regulator.Defect, res float64, cs process.CaseStudy, dwell float64) (lost bool, rail float64, railOK bool, err error) {
-	info := regulator.Lookup(d)
 	c := e.critFor(cs)
 	e.inject(d, res)
 	defer e.reg.ClearDefects()
-	if info.Transient {
-		lost, err = e.lostTransient(c, dwell)
-		return lost, 0, false, err
+	if regulator.Lookup(d).Transient {
+		return e.lostTransient(c, dwell)
 	}
-	v, v0, sol, err := e.solveDS(c, e.warmDS)
+	v, sol, err := e.solveDS(c, e.warmDS)
 	if err != nil {
 		// A non-converged extreme point is treated as data loss: the
 		// operating point only fails to exist when the rail collapses.
-		return true, 0, false, nil
+		return true, nil
 	}
 	e.warmDS = sol
-	return c.LostDC(v, dwell), v0, true, nil
+	return c.LostDC(v, dwell), nil
 }
 
-// FaultFreeRail implements engine.Eval.
+// FaultFreeRail implements engine.Eval: the plain (no extra load)
+// deep-sleep rail of the fault-free netlist.
 func (e *Eval) FaultFreeRail() (float64, error) {
-	return e.RailAt(0, 0)
-}
-
-// RailAt solves the plain (no extra load) deep-sleep rail with defect d
-// injected at res; res <= 0 solves the fault-free netlist. The surrogate
-// calibrates its tables through this query, and the tiered backend
-// confirms escalated rails with it.
-func (e *Eval) RailAt(d regulator.Defect, res float64) (float64, error) {
-	e.inject(d, res)
-	defer e.reg.ClearDefects()
+	e.reg.ClearDefects()
 	v, sol, err := e.reg.SolveDSWith(e.warmDS, e.sopt)
 	if err != nil {
 		return 0, err
@@ -215,10 +182,6 @@ func (e *Eval) RailAt(d regulator.Defect, res float64) (float64, error) {
 	e.warmDS = sol
 	return v, nil
 }
-
-// Crit exposes the per-case-study criterion bundle (the tiered backend
-// shares it between screen and escalation paths).
-func (e *Eval) Crit(cs process.CaseStudy) *engine.CellCrit { return e.critFor(cs) }
 
 // Retention implements engine.Eval: the full electrical retention model
 // on this Eval's pooled regulator. The model owns the regulator until

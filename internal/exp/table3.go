@@ -32,7 +32,7 @@ func Table3(opt testflow.MeasureOptions) (Table3Result, error) {
 	}
 	// The flow's Vreg floor is the worst-case DRV of the sensitizing
 	// case study at the measurement corner/temperature, from the engine
-	// layer's oracle memo (the tiered screen hits the same entry).
+	// layer's oracle memo.
 	cond := process.Condition{Corner: opt.Corner, VDD: 1.1, TempC: opt.TempC}
 	worst := engine.CachedDRV1(opt.CS.Variation, cond)
 	flow := testflow.Optimize(sens, testflow.DefaultOptimizeOptions(worst))

@@ -80,12 +80,6 @@ type Config struct {
 	// RetryBackoff is the first retry's delay, doubling per attempt.
 	// Default 100 ms.
 	RetryBackoff time.Duration
-	// DefaultEngine fills a submitted spec's empty Engine field before
-	// normalization (the daemon's -engine flag). Injecting the default at
-	// submit time — rather than at run time — keeps the store key honest:
-	// a daemon defaulting to a non-exact backend can never serve its
-	// results under the exact backend's key.
-	DefaultEngine string
 	// Store, when non-nil, caches results content-addressed by the
 	// canonical spec: submissions whose key is stored complete
 	// immediately, and successful runs are written back.
@@ -204,9 +198,6 @@ func NewManager(cfg Config) *Manager {
 // Submit validates, dedupes against the store, and enqueues a job.
 // A store hit returns a job already in StateDone with Cached set.
 func (m *Manager) Submit(spec Spec) (Status, error) {
-	if spec.Engine == "" {
-		spec.Engine = m.cfg.DefaultEngine
-	}
 	norm, err := spec.Normalize()
 	if err != nil {
 		return Status{}, err

@@ -10,9 +10,7 @@ import (
 	"sramtest/internal/charac"
 	"sramtest/internal/diag"
 	"sramtest/internal/engine"
-	_ "sramtest/internal/engine/spicebe"   // default backend
-	_ "sramtest/internal/engine/surrogate" // spec engine "surrogate"
-	_ "sramtest/internal/engine/tiered"    // spec engine "tiered"
+	_ "sramtest/internal/engine/spicebe" // the simulation backend
 	"sramtest/internal/exp"
 	"sramtest/internal/faultmap"
 	"sramtest/internal/march"
@@ -43,9 +41,7 @@ func Run(ctx context.Context, spec Spec) ([]byte, error) {
 		return nil, err
 	}
 	// The spec names its backend explicitly ("" ≡ spice after
-	// normalization); the process default is deliberately not consulted,
-	// so a store key always maps to one engine regardless of daemon
-	// configuration.
+	// normalization), so a store key always maps to one engine.
 	eng, err := engine.Resolve(spec.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)

@@ -61,15 +61,12 @@ type Spec struct {
 	// CSV selects the CLIs' -csv rendering for the tables. Table-less
 	// kinds (diag, whose product is a JSON artifact) reject it.
 	CSV bool `json:"csv,omitempty"`
-	// Engine selects the simulation backend by registry name ("spice",
-	// "surrogate", "tiered", or a versioned spelling like "tiered.v1").
-	// Empty means the exact SPICE backend. Normalization canonicalizes to
-	// the backend's versioned Name() — except "spice", which folds to the
-	// empty spelling so pre-engine store keys stay valid. The engine is
-	// part of the content address: the standalone surrogate is
-	// approximate, so its results must never be served for an exact
-	// request (spice and tiered produce identical bytes but are keyed
-	// separately — cheap insurance over the equivalence contract).
+	// Engine selects the simulation backend by registry name. Empty means
+	// the exact SPICE backend, the only one there is. Normalization
+	// folds "spice" and the retired byte-identical "tiered"/"tiered.v1"
+	// spellings to the empty spelling, so pre-engine store keys stay
+	// valid; any other name — the retired approximate "surrogate"
+	// included — is ErrBadSpec.
 	Engine   string        `json:"engine,omitempty"`
 	Charac   *CharacSpec   `json:"charac,omitempty"`
 	Exp      *ExpSpec      `json:"exp,omitempty"`
@@ -336,13 +333,23 @@ const maxPointsPerDecade = 2000
 // defaultSeed is cmd/drv's hard-coded Monte-Carlo seed.
 const defaultSeed = 2013
 
+// foldEngine maps the retired tiered backend's spellings to the exact
+// backend's: tiered results were byte-identical to spice by contract, so
+// old tiered specs now share the spice store key.
+func foldEngine(name string) string {
+	if name == "tiered" || name == "tiered.v1" {
+		return ""
+	}
+	return name
+}
+
 // Normalize validates s and returns its canonical form: defaults are
 // made explicit (defect lists expanded, seed filled in) and lists are
 // sorted and deduplicated, so every spelling of the same job serializes
 // to the same bytes and lands on the same store key.
 func (s Spec) Normalize() (Spec, error) {
 	out := Spec{Kind: s.Kind, CSV: s.CSV}
-	eng, err := engine.Resolve(s.Engine)
+	eng, err := engine.Resolve(foldEngine(s.Engine))
 	if err != nil {
 		return Spec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

@@ -173,6 +173,10 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{Kind: KindNoiseScan, CSV: true, NoiseScan: &NoiseScanSpec{Shards: 4}},
 		{Kind: KindNoiseScan, Yield: &YieldSpec{Samples: 64}},
 		{Kind: KindYield, Yield: &YieldSpec{Samples: 64}, NoiseScan: &NoiseScanSpec{}},
+		// The retired approximate backend and unknown engines.
+		{Kind: KindCharac, Engine: "surrogate"},
+		{Kind: KindDiag, Engine: "surrogate.v1"},
+		{Kind: KindCharac, Engine: "nosuch"},
 	}
 	for i, s := range bad {
 		if _, err := s.Normalize(); !errors.Is(err, ErrBadSpec) {
@@ -198,6 +202,23 @@ func TestEquivalentSpecsShareKeys(t *testing.T) {
 	c := Spec{Kind: KindExp, Exp: &ExpSpec{Samples: 64, Seed: 7}}
 	if kc, _ := c.Key(); kc == ka {
 		t.Error("different seeds must not share a cache key")
+	}
+}
+
+// TestTieredSpecsShareSpiceKeys: the retired tiered backend was
+// byte-identical to spice, so every spelling of it folds onto the spice
+// spec's store key.
+func TestTieredSpecsShareSpiceKeys(t *testing.T) {
+	for _, kind := range []Kind{KindCharac, KindTestFlow, KindDiag} {
+		want, err := Spec{Kind: kind}.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"spice", "tiered", "tiered.v1"} {
+			if got, err := (Spec{Kind: kind, Engine: name}).Key(); err != nil || got != want {
+				t.Errorf("%s engine %q: key %s, %v; want the spice key %s", kind, name, got, err, want)
+			}
+		}
 	}
 }
 

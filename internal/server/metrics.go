@@ -87,29 +87,9 @@ func writeMetrics(w io.Writer, mgr *jobs.Manager, st *store.Store) {
 	fmt.Fprintln(w, "# TYPE sramd_spice_ensemble_steps_total counter")
 	fmt.Fprintf(w, "sramd_spice_ensemble_steps_total %d\n", sp.EnsembleSteps)
 
-	// Tiered-engine counters: all zero while every job runs the exact
-	// backend; under -engine tiered the screened/escalated split is the
-	// live measure of how much SPICE work the surrogate is absorbing.
 	// The DRV-memo counters follow every static-DRV lookup: Table I, the
 	// characterization anchors and the fault-map calibration.
 	es := engine.Stats()
-	fmt.Fprintln(w, "# HELP sramd_engine_decisions_total Band-screened decisions by outcome.")
-	fmt.Fprintln(w, "# TYPE sramd_engine_decisions_total counter")
-	fmt.Fprintf(w, "sramd_engine_decisions_total{outcome=\"screened\"} %d\n", es.Screened)
-	fmt.Fprintf(w, "sramd_engine_decisions_total{outcome=\"escalated\"} %d\n", es.Escalations)
-	fmt.Fprintf(w, "sramd_engine_decisions_total{outcome=\"transient_direct\"} %d\n", es.TransientDirect)
-	fmt.Fprintln(w, "# HELP sramd_engine_screen_ratio Screened over screened+escalated since start.")
-	fmt.Fprintln(w, "# TYPE sramd_engine_screen_ratio gauge")
-	fmt.Fprintf(w, "sramd_engine_screen_ratio %g\n", es.ScreenRatio())
-	fmt.Fprintln(w, "# HELP sramd_engine_cal_solves_total SPICE solves spent calibrating surrogate tables.")
-	fmt.Fprintln(w, "# TYPE sramd_engine_cal_solves_total counter")
-	fmt.Fprintf(w, "sramd_engine_cal_solves_total %d\n", es.CalSolves)
-	fmt.Fprintln(w, "# HELP sramd_engine_tables_total Surrogate calibration tables built.")
-	fmt.Fprintln(w, "# TYPE sramd_engine_tables_total counter")
-	fmt.Fprintf(w, "sramd_engine_tables_total %d\n", es.Tables)
-	fmt.Fprintln(w, "# HELP sramd_engine_exact_inserts_total Escalated exact samples folded back into tables.")
-	fmt.Fprintln(w, "# TYPE sramd_engine_exact_inserts_total counter")
-	fmt.Fprintf(w, "sramd_engine_exact_inserts_total %d\n", es.ExactInserts)
 	fmt.Fprintln(w, "# HELP sramd_engine_drv_solves_total Static-DRV bisections run by the shared DRV memo.")
 	fmt.Fprintln(w, "# TYPE sramd_engine_drv_solves_total counter")
 	fmt.Fprintf(w, "sramd_engine_drv_solves_total %d\n", es.DRVSolves)
@@ -253,65 +233,59 @@ func snapshot(mgr *jobs.Manager, st *store.Store) map[string]any {
 	ds := diag.Stats()
 	ns := noisescan.Stats()
 	out := map[string]any{
-		"noise_scans":             ns.Scans,
-		"noise_partials":          ns.Partials,
-		"noise_points":            ns.Points,
-		"noise_flips":             ns.Flips,
-		"noise_last_tighten":      ns.LastTighten,
-		"spice_noise_evals":       sp.NoiseEvals,
-		"spice_ensemble_runs":     sp.EnsembleRuns,
-		"spice_ensemble_steps":    sp.EnsembleSteps,
-		"diag_matches":            ds.Matches,
-		"diag_exact":              ds.Exact,
-		"diag_fallbacks":          ds.Fallbacks,
-		"diag_scanned":            ds.Scanned,
-		"diag_stream_requests":    ds.StreamRequests,
-		"diag_stream_signatures":  ds.StreamSignatures,
-		"diag_stream_errors":      ds.StreamErrors,
-		"diag_stream_bytes":       ds.StreamBytes,
-		"faultmap_runs":           fs.Runs,
-		"faultmap_partials":       fs.Partials,
-		"faultmap_maps":           fs.Maps,
-		"faultmap_fault_bits":     fs.FaultBits,
-		"faultmap_detected":       fs.Detected,
-		"faultmap_dropped":        fs.Dropped,
-		"faultmap_last_best":      fs.LastBestCoverage,
-		"faultmap_last_bits_map":  fs.LastBitsPerMap,
-		"yield_runs":              ys.Runs,
-		"yield_partials":          ys.Partials,
-		"yield_screened":          ys.Screens,
-		"yield_escalations":       ys.Escalations,
-		"yield_exact_solves":      ys.ExactSolves,
-		"yield_failures":          ys.Failures,
-		"yield_last_ess":          ys.LastESS,
-		"yield_last_shift_sigma":  ys.LastShiftNorm,
-		"yield_last_tail_sigma":   ys.LastSigma,
-		"engine_screened":         es.Screened,
-		"engine_escalations":      es.Escalations,
-		"engine_transient_direct": es.TransientDirect,
-		"engine_cal_solves":       es.CalSolves,
-		"engine_tables":           es.Tables,
-		"engine_exact_inserts":    es.ExactInserts,
-		"engine_drv_solves":       es.DRVSolves,
-		"engine_drv_cache_hits":   es.DRVCacheHits,
-		"engine_drv_entries":      engine.DRVCacheLen(),
-		"jobs_queued":             s.Queued,
-		"jobs_running":            s.Running,
-		"jobs_done":               s.Done,
-		"jobs_failed":             s.Failed,
-		"jobs_canceled":           s.Canceled,
-		"cache_hits":              s.CacheHits,
-		"cache_misses":            s.CacheMisses,
-		"sweep_tasks_done":        s.TasksDone,
-		"job_seconds_sum":         s.DurationSum,
-		"jobs_measured":           s.DurationCount,
-		"spice_solves":            sp.Solves,
-		"spice_newton_iters":      sp.NewtonIters,
-		"spice_warm_starts":       sp.WarmStarts,
-		"spice_cold_restarts":     sp.ColdRestarts,
-		"spice_gmin_fallbacks":    sp.GminFallbacks,
-		"spice_source_fallbacks":  sp.SourceFallbacks,
-		"spice_iters_per_solve":   sp.ItersPerSolve(),
+		"noise_scans":            ns.Scans,
+		"noise_partials":         ns.Partials,
+		"noise_points":           ns.Points,
+		"noise_flips":            ns.Flips,
+		"noise_last_tighten":     ns.LastTighten,
+		"spice_noise_evals":      sp.NoiseEvals,
+		"spice_ensemble_runs":    sp.EnsembleRuns,
+		"spice_ensemble_steps":   sp.EnsembleSteps,
+		"diag_matches":           ds.Matches,
+		"diag_exact":             ds.Exact,
+		"diag_fallbacks":         ds.Fallbacks,
+		"diag_scanned":           ds.Scanned,
+		"diag_stream_requests":   ds.StreamRequests,
+		"diag_stream_signatures": ds.StreamSignatures,
+		"diag_stream_errors":     ds.StreamErrors,
+		"diag_stream_bytes":      ds.StreamBytes,
+		"faultmap_runs":          fs.Runs,
+		"faultmap_partials":      fs.Partials,
+		"faultmap_maps":          fs.Maps,
+		"faultmap_fault_bits":    fs.FaultBits,
+		"faultmap_detected":      fs.Detected,
+		"faultmap_dropped":       fs.Dropped,
+		"faultmap_last_best":     fs.LastBestCoverage,
+		"faultmap_last_bits_map": fs.LastBitsPerMap,
+		"yield_runs":             ys.Runs,
+		"yield_partials":         ys.Partials,
+		"yield_screened":         ys.Screens,
+		"yield_escalations":      ys.Escalations,
+		"yield_exact_solves":     ys.ExactSolves,
+		"yield_failures":         ys.Failures,
+		"yield_last_ess":         ys.LastESS,
+		"yield_last_shift_sigma": ys.LastShiftNorm,
+		"yield_last_tail_sigma":  ys.LastSigma,
+		"engine_drv_solves":      es.DRVSolves,
+		"engine_drv_cache_hits":  es.DRVCacheHits,
+		"engine_drv_entries":     engine.DRVCacheLen(),
+		"jobs_queued":            s.Queued,
+		"jobs_running":           s.Running,
+		"jobs_done":              s.Done,
+		"jobs_failed":            s.Failed,
+		"jobs_canceled":          s.Canceled,
+		"cache_hits":             s.CacheHits,
+		"cache_misses":           s.CacheMisses,
+		"sweep_tasks_done":       s.TasksDone,
+		"job_seconds_sum":        s.DurationSum,
+		"jobs_measured":          s.DurationCount,
+		"spice_solves":           sp.Solves,
+		"spice_newton_iters":     sp.NewtonIters,
+		"spice_warm_starts":      sp.WarmStarts,
+		"spice_cold_restarts":    sp.ColdRestarts,
+		"spice_gmin_fallbacks":   sp.GminFallbacks,
+		"spice_source_fallbacks": sp.SourceFallbacks,
+		"spice_iters_per_solve":  sp.ItersPerSolve(),
 	}
 	if st != nil {
 		out["store_entries"] = st.Len()

@@ -80,9 +80,7 @@ type MeasureOptions struct {
 	// Ctx.Err(). It never affects completed results.
 	Ctx context.Context
 	// Engine selects the simulation backend for the characterizations;
-	// nil uses the process default. The measured sensitivities (and the
-	// flow optimized from them) are engine-independent by the tiered
-	// backend's equivalence contract.
+	// nil uses the exact SPICE backend (engine.Default).
 	Engine engine.Engine
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"sramtest/internal/engine"
 	"sramtest/internal/process"
 	"sramtest/internal/sweep"
 )
@@ -12,8 +11,7 @@ import (
 // screen is the conservative surrogate that blocks the bulk of samples
 // from ever reaching an exact DRV solve: a linear DRV_DS1 response
 // surface over the six ΔVth axes, widened into an uncertainty band
-// (engine.Rail, the same band type the engine/surrogate backend uses)
-// by a margin calibrated from exact residuals near the failure
+// (rail) by a margin calibrated from exact residuals near the failure
 // boundary. The blockade rule is strictly one-sided: a sample is
 // screened out only when its whole band — for both stored values —
 // lies below the threshold; anything the band cannot clear escalates
@@ -60,6 +58,18 @@ const (
 	refineIters  = 3     // max min-norm refinement rounds
 )
 
+// rail is a bounded estimate of a cell's DRV_DS (V): the linear
+// prediction widened by the screen's margin on both sides.
+type rail struct {
+	Lo, Hi float64
+}
+
+// Mid returns the band's center — the linear point estimate.
+func (r rail) Mid() float64 { return 0.5 * (r.Lo + r.Hi) }
+
+// Width returns the band's total width.
+func (r rail) Width() float64 { return r.Hi - r.Lo }
+
 // calSeedChunk is the virtual chunk index feeding the residual probe
 // RNG. It sits far above any real sample chunk (MaxSamples/Chunk), so
 // calibration never replays a sampling stream.
@@ -82,12 +92,12 @@ func (s *screen) margin(n float64) float64 {
 // band returns the screen's DRV_DS band at v: the max over both
 // stored-value lobes of the linear prediction, widened by the
 // distance-dependent margin. (Max of two intervals: [max lo, max hi].)
-func (s *screen) band(v process.Variation) engine.Rail {
+func (s *screen) band(v process.Variation) rail {
 	p1 := s.predict1(v)
 	p0 := s.predict1(v.Mirror())
 	p := math.Max(p1, p0)
 	m := s.margin(vnorm(v))
-	return engine.Rail{Lo: p - m, Hi: p + m}
+	return rail{Lo: p - m, Hi: p + m}
 }
 
 // certified reports whether the screen proves P(DRV_DS > vref) = 0

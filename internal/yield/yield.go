@@ -22,14 +22,13 @@
 //     escalate to an exact DRV confirmation; the failure count yields a
 //     Wilson-interval estimate.
 //
-// Both share one conservative screen (screen.go): a linear DRV_DS1
-// response surface over the six per-transistor ΔVth axes with an
-// uncertainty margin calibrated from exact residuals near the failure
-// boundary, in the band idiom of engine/surrogate. A sample is only
-// ever screened out when the whole band lies below the threshold, so
-// no potential failure is silently discarded — every reported failure
-// is exact-confirmed, exactly like the tiered engine's screen/confirm
-// contract (DESIGN.md §5.11).
+// Both share one conservative screen (screen.go), through which every
+// sample passes: a linear DRV_DS1 response surface over the six
+// per-transistor ΔVth axes with an uncertainty margin calibrated from
+// exact residuals near the failure boundary. A sample is only ever
+// screened out when the whole band lies below the threshold, so no
+// potential failure is silently discarded — every reported failure is
+// exact-confirmed (DESIGN.md §5.11).
 //
 // Determinism: sampling is sharded into fixed-size chunks seeded by
 // sweep.ChunkSeed, so every estimate is a pure function of its Params —

@@ -163,6 +163,20 @@ func TestScreenNeverEatsFailure(t *testing.T) {
 	}
 }
 
+func TestRailGeometry(t *testing.T) {
+	r := rail{Lo: 0.4, Hi: 0.6}
+	if m := r.Mid(); m != 0.5 {
+		t.Errorf("Mid() = %g", m)
+	}
+	if w := r.Width(); w < 0.2-1e-15 || w > 0.2+1e-15 {
+		t.Errorf("Width() = %g", w)
+	}
+	point := rail{Lo: 0.7, Hi: 0.7}
+	if point.Width() != 0 || point.Mid() != 0.7 {
+		t.Errorf("point rail: %+v", point)
+	}
+}
+
 // TestWorkerInvariance pins the determinism contract: the same Params
 // produce a deeply equal Result and byte-identical report at any worker
 // count.

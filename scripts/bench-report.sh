@@ -6,9 +6,8 @@
 #
 # The allocation gate is enforced (allocs/op is machine-independent);
 # wall-clock ratios are reported but not gated, since the baseline was
-# recorded on different hardware than the CI runners. The tiered-engine,
-# yield and faultmap benchmarks carry their own deterministic gates
-# (>=3x fewer full-SPICE solves than the exact backend; >=100x fewer
+# recorded on different hardware than the CI runners. The yield and
+# faultmap benchmarks carry their own deterministic gates (>=100x fewer
 # exact solves than naive Monte-Carlo at matched CI width; March m-LZ
 # fully covers a nonzero DRF population that March C- escapes) inside
 # the benchmark bodies; the yield and faultmap gates are re-checked here
@@ -21,7 +20,7 @@ set -eu
 OUT="${1:-BENCH_10.json}"
 RAW="${OUT%.json}.bench.txt"
 BASELINE="benchmarks/baseline.txt"
-BENCHES='^(BenchmarkTable2|BenchmarkTable2Tiered|BenchmarkDictionaryBuild|BenchmarkDictionaryBuildTiered|BenchmarkDiagnoseIndexed|BenchmarkRegulatorOP|BenchmarkRegulatorOPWarm|BenchmarkDSEntryTransient|BenchmarkDiagnose|BenchmarkYield6Sigma|BenchmarkFaultMapCoverage|BenchmarkNoiseCriterion)$'
+BENCHES='^(BenchmarkTable2|BenchmarkDictionaryBuild|BenchmarkDiagnoseIndexed|BenchmarkRegulatorOP|BenchmarkRegulatorOPWarm|BenchmarkDSEntryTransient|BenchmarkDiagnose|BenchmarkYield6Sigma|BenchmarkFaultMapCoverage|BenchmarkNoiseCriterion)$'
 
 echo "bench-report: running benchmark suite (this takes a few minutes)"
 go test -run '^$' -bench "$BENCHES" -benchmem -benchtime=1x -count=5 . | tee "$RAW"

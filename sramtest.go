@@ -36,9 +36,7 @@ import (
 	"sramtest/internal/charac"
 	"sramtest/internal/diag"
 	"sramtest/internal/engine"
-	_ "sramtest/internal/engine/spicebe"   // default backend
-	_ "sramtest/internal/engine/surrogate" // EngineNames: "surrogate"
-	_ "sramtest/internal/engine/tiered"    // EngineNames: "tiered"
+	_ "sramtest/internal/engine/spicebe" // the simulation backend
 	"sramtest/internal/faultmap"
 	"sramtest/internal/march"
 	"sramtest/internal/power"
@@ -176,30 +174,22 @@ func CharacterizeDefect(d Defect, cs CaseStudy, opt CharacOptions) (CharacResult
 	return charac.CharacterizeDefect(d, cs, opt)
 }
 
-// Simulation engines (DESIGN.md §5.9). Every sweep option struct carries
-// an optional SimEngine; nil selects the process default (exact SPICE,
-// or whatever ResolveEngine + SetDefaultEngine installed).
+// Simulation engine (DESIGN.md §5.9). Every sweep option struct carries
+// an optional SimEngine; nil selects the exact SPICE backend.
 type (
-	// SimEngine is a pluggable simulation backend: "spice" (exact),
-	// "tiered" (surrogate screen + SPICE confirm, byte-identical
-	// results) or "surrogate" (approximate, exploratory only).
+	// SimEngine is the simulation backend seam; "spice" (exact) is the
+	// one registered backend.
 	SimEngine = engine.Engine
-	// EngineStats are the tiered backend's deterministic
-	// screen/escalation/calibration counters.
+	// EngineStats are the static-DRV memo counters.
 	EngineStats = engine.EngineStats
 )
 
-// EngineNames lists the registered backends ("spice", "surrogate",
-// "tiered").
+// EngineNames lists the registered backends ("spice").
 func EngineNames() []string { return engine.Names() }
 
-// ResolveEngine looks a backend up by registry or versioned name; the
-// empty name resolves to the exact "spice" backend.
+// ResolveEngine looks a backend up by name; the empty name resolves to
+// the exact "spice" backend.
 func ResolveEngine(name string) (SimEngine, error) { return engine.Resolve(name) }
-
-// SetDefaultEngine installs the process-wide default backend used when
-// an option struct's Engine field is nil.
-func SetDefaultEngine(e SimEngine) { engine.SetDefault(e) }
 
 // EngineStatsNow snapshots the engine counters.
 func EngineStatsNow() EngineStats { return engine.Stats() }
