@@ -11,6 +11,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -451,5 +453,44 @@ func TestWorkStealingReroutesHotShard(t *testing.T) {
 	}
 	if want := fixtureBytes(t, hot[3]); !bytes.Equal(br.Result, want) {
 		t.Fatal("stolen job's bytes diverge from the fixture oracle")
+	}
+}
+
+// TestCoordinatorMetricsShape pins the coordinator's /metrics families
+// against testdata/metrics.golden: HELP and TYPE lines and series names
+// with labels, values stripped, lines sorted. The node URLs are never
+// dialled; /metrics reads only coordinator state.
+func TestCoordinatorMetricsShape(t *testing.T) {
+	st, err := store.Open("", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := cluster.New(cluster.Config{Nodes: []string{"http://node-a.invalid", "http://node-b.invalid"}, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	coord.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("metrics: HTTP %d", w.Code)
+	}
+	body := w.Body.String()
+	if !strings.Contains(body, "sramd_cluster_nodes 2\n") {
+		t.Errorf("metrics do not report 2 nodes:\n%s", body)
+	}
+	var lines []string
+	for _, l := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			l = l[:strings.LastIndexByte(l, ' ')]
+		}
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(lines, "\n") + "\n"; got != string(golden) {
+		t.Errorf("/metrics families differ from testdata/metrics.golden:\ngot:\n%s", got)
 	}
 }

@@ -7,6 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -230,6 +234,86 @@ func TestHealthzAndMetricsShape(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exposition(body); got != string(golden) {
+		t.Errorf("/metrics families differ from testdata/metrics.golden:\ngot:\n%s", got)
+	}
+}
+
+// TestScrapedNamesInGolden guards the names other tools scrape from
+// /metrics: every sramd_ name the smoke scripts grep for, and every
+// counter sramdbench reports, must be a family of the node or
+// coordinator golden (a trailing "_" or a whole-word prefix matches the
+// families it names). sramdbench reports a vanished name as 0 rather
+// than failing, so without this guard a rename would go unnoticed.
+func TestScrapedNamesInGolden(t *testing.T) {
+	var golden []string
+	for _, path := range []string{"testdata/metrics.golden", "../cluster/testdata/metrics.golden"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			if !strings.HasPrefix(l, "#") {
+				name, _, _ := strings.Cut(l, "{")
+				golden = append(golden, name+"_")
+			}
+		}
+	}
+	name := regexp.MustCompile(`sramd_[a-z_]+`)
+	scraped := map[string]string{}
+	scripts, err := filepath.Glob("../../scripts/*.sh")
+	if err != nil || len(scripts) == 0 {
+		t.Fatalf("no smoke scripts found: %v", err)
+	}
+	for _, path := range scripts {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range name.FindAllString(string(b), -1) {
+			scraped[n] = path
+		}
+	}
+	trace, err := os.ReadFile("../../sramdbench/trace.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, counters, ok := strings.Cut(string(trace), "var sramdCounters = []string{")
+	counters, _, _ = strings.Cut(counters, "}")
+	if !ok || len(name.FindAllString(counters, -1)) == 0 {
+		t.Fatal("sramdbench/trace.go: no sramdCounters list")
+	}
+	for _, n := range name.FindAllString(counters, -1) {
+		scraped[n] = "sramdbench/trace.go"
+	}
+	for n, src := range scraped {
+		prefix := strings.TrimSuffix(n, "_") + "_"
+		found := false
+		for _, g := range golden {
+			found = found || strings.HasPrefix(g, prefix)
+		}
+		if !found {
+			t.Errorf("%s scrapes %s, which no /metrics family provides", src, n)
+		}
+	}
+}
+
+// exposition reduces a /metrics body to its shape: HELP and TYPE lines
+// and series names with their labels, values stripped, lines sorted.
+func exposition(body string) string {
+	var lines []string
+	for _, l := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			l = l[:strings.LastIndexByte(l, ' ')]
+		}
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
 }
 
 // TestEndToEndCharacJob exercises the acceptance path with the REAL
