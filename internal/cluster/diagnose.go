@@ -167,7 +167,10 @@ func (c *Coordinator) diagnoseOn(ctx context.Context, base string, idxs []int, l
 
 	answered := make([]bool, len(idxs))
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), MaxBatchLine)
+	// A result line is not a request line: over a fleet-scale dictionary
+	// one diagnosis carries an ambiguity set of megabytes, so the bound
+	// is the whole-body one.
+	sc.Buffer(make([]byte, 64<<10), MaxBatchBody)
 	n := 0
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

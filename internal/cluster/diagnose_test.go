@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -147,5 +148,30 @@ func TestClusterDiagnoseFailover(t *testing.T) {
 	}
 	if s := coord.Stats(); s.Failovers == 0 || s.DiagBatches != 1 || s.DiagLines != 6 {
 		t.Fatalf("coordinator stats %+v, want a failover and 1 batch / 6 lines", s)
+	}
+}
+
+// TestClusterDiagnoseLargeResultLines: a fleet-scale dictionary answers
+// with diagnosis lines of megabytes (wide ambiguity sets), beyond the
+// request-line bound; the coordinator must relay them, not fail them.
+func TestClusterDiagnoseLargeResultLines(t *testing.T) {
+	big := strings.Repeat("x", 2*cluster.MaxBatchLine)
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lines, err := cluster.ReadBatchLines(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range lines {
+			fmt.Fprintf(w, "{\"index\":%d,\"diagnosis\":%q}\n", i, big)
+		}
+	}))
+	t.Cleanup(node.Close)
+	_, csrv := startCoordinator(t, []string{node.URL}, nil)
+	res := postClusterDiagnose(t, csrv.URL, []string{`{"sig":1}`, `{"sig":2}`}, 2)
+	for i, dr := range res {
+		if dr.Error != "" || len(dr.Diagnosis) != len(big)+2 {
+			t.Errorf("line %d: error %q, %d diagnosis bytes, want %d", i, dr.Error, len(dr.Diagnosis), len(big)+2)
+		}
 	}
 }
