@@ -1,6 +1,6 @@
 # Local mirror of the CI pipeline (.github/workflows/ci.yml).
 #
-#   make verify       build + vet + gofmt + test — the tier-1 gate
+#   make verify       build (root and sramdbench modules) + vet + gofmt + test
 #   make race         race-enabled test run
 #   make fuzz         20 s of FuzzMerge on the shard merge check
 #   make bench        one iteration of every benchmark (smoke)
@@ -24,8 +24,12 @@ GO ?= go
 
 verify: build vet fmt test
 
+# The benchmark module (sramdbench/) is its own module, so the root
+# `go build ./...` skips it; it compiles against spice.Stats and
+# diag.Stats, so build and vet it here too.
 build:
 	$(GO) build ./...
+	cd sramdbench && $(GO) vet ./... && $(GO) build ./...
 
 vet:
 	$(GO) vet ./...

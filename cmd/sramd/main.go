@@ -142,7 +142,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sramd: diagnosis dictionary %s: %d entries, %d signatures, %d buckets\n",
 				*diagDict, ist.Entries, ist.Groups, ist.Buckets)
 		}
-		api.PublishExpvar()
 		handler = api
 	}
 

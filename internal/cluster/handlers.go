@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sramtest/internal/jobs"
+	"sramtest/internal/metrics"
 )
 
 // errorBody mirrors the node API's error shape.
@@ -441,77 +442,50 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
+// handleMetrics writes the coordinator's own sramd_cluster_* families;
+// the node-side families are served by each node.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s := c.Stats()
-	fmt.Fprintln(w, "# HELP sramd_cluster_nodes Configured nodes.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_nodes gauge")
-	fmt.Fprintf(w, "sramd_cluster_nodes %d\n", s.Nodes)
-	fmt.Fprintln(w, "# HELP sramd_cluster_nodes_healthy Nodes not in failure cooldown.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_nodes_healthy gauge")
-	fmt.Fprintf(w, "sramd_cluster_nodes_healthy %d\n", s.Healthy)
-	fmt.Fprintln(w, "# HELP sramd_cluster_routed_total Routing decisions.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_routed_total counter")
-	fmt.Fprintf(w, "sramd_cluster_routed_total %d\n", s.Routed)
-	fmt.Fprintln(w, "# HELP sramd_cluster_stolen_total Submissions rerouted off a hot owner shard.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_stolen_total counter")
-	fmt.Fprintf(w, "sramd_cluster_stolen_total %d\n", s.Stolen)
-	fmt.Fprintln(w, "# HELP sramd_cluster_failover_total Node failures survived by retrying elsewhere.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_failover_total counter")
-	fmt.Fprintf(w, "sramd_cluster_failover_total %d\n", s.Failovers)
-	fmt.Fprintln(w, "# HELP sramd_cluster_replica_reads_total Results recovered from a surviving node's store.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_replica_reads_total counter")
-	fmt.Fprintf(w, "sramd_cluster_replica_reads_total %d\n", s.ReplicaReads)
-	fmt.Fprintln(w, "# HELP sramd_cluster_cache_hits_total Submissions answered from the coordinator's replica store.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_cache_hits_total counter")
-	fmt.Fprintf(w, "sramd_cluster_cache_hits_total %d\n", s.CacheHits)
-	fmt.Fprintln(w, "# HELP sramd_cluster_batches_total Batch requests served.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_batches_total counter")
-	fmt.Fprintf(w, "sramd_cluster_batches_total %d\n", s.Batches)
-	fmt.Fprintln(w, "# HELP sramd_cluster_batch_jobs_total Specs received across all batches.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_batch_jobs_total counter")
-	fmt.Fprintf(w, "sramd_cluster_batch_jobs_total %d\n", s.BatchJobs)
-	fmt.Fprintln(w, "# HELP sramd_cluster_batch_errors_total Batch lines that ended failed.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_batch_errors_total counter")
-	fmt.Fprintf(w, "sramd_cluster_batch_errors_total %d\n", s.BatchErrors)
-	fmt.Fprintln(w, "# HELP sramd_cluster_proxied_jobs_total Single jobs routed through the proxy endpoints.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_proxied_jobs_total counter")
-	fmt.Fprintf(w, "sramd_cluster_proxied_jobs_total %d\n", s.ProxiedJobs)
-	fmt.Fprintln(w, "# HELP sramd_cluster_diag_batches_total Streaming diagnosis requests fanned out.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_diag_batches_total counter")
-	fmt.Fprintf(w, "sramd_cluster_diag_batches_total %d\n", s.DiagBatches)
-	fmt.Fprintln(w, "# HELP sramd_cluster_diag_lines_total Signature lines received across diagnosis requests.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_diag_lines_total counter")
-	fmt.Fprintf(w, "sramd_cluster_diag_lines_total %d\n", s.DiagLines)
-	fmt.Fprintln(w, "# HELP sramd_cluster_diag_errors_total Diagnosis lines that ended failed.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_diag_errors_total counter")
-	fmt.Fprintf(w, "sramd_cluster_diag_errors_total %d\n", s.DiagErrors)
+	mw := metrics.NewWriter(w)
+	mw.Gauge("sramd_cluster_nodes", "Configured nodes.", s.Nodes)
+	mw.Gauge("sramd_cluster_nodes_healthy", "Nodes not in failure cooldown.", s.Healthy)
+	mw.Counter("sramd_cluster_routed_total", "Routing decisions.", s.Routed)
+	mw.Counter("sramd_cluster_stolen_total", "Submissions rerouted off a hot owner shard.", s.Stolen)
+	mw.Counter("sramd_cluster_failover_total", "Node failures survived by retrying elsewhere.", s.Failovers)
+	mw.Counter("sramd_cluster_replica_reads_total", "Results recovered from a surviving node's store.", s.ReplicaReads)
+	mw.Counter("sramd_cluster_cache_hits_total", "Submissions answered from the coordinator's replica store.", s.CacheHits)
+	mw.Counter("sramd_cluster_batches_total", "Batch requests served.", s.Batches)
+	mw.Counter("sramd_cluster_batch_jobs_total", "Specs received across all batches.", s.BatchJobs)
+	mw.Counter("sramd_cluster_batch_errors_total", "Batch lines that ended failed.", s.BatchErrors)
+	mw.Counter("sramd_cluster_proxied_jobs_total", "Single jobs routed through the proxy endpoints.", s.ProxiedJobs)
+	mw.Counter("sramd_cluster_diag_batches_total", "Streaming diagnosis requests fanned out.", s.DiagBatches)
+	mw.Counter("sramd_cluster_diag_lines_total", "Signature lines received across diagnosis requests.", s.DiagLines)
+	mw.Counter("sramd_cluster_diag_errors_total", "Diagnosis lines that ended failed.", s.DiagErrors)
 
 	now := time.Now()
 	c.mu.Lock()
-	fmt.Fprintln(w, "# HELP sramd_cluster_node_up Node availability (1 = not in cooldown).")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_node_up gauge")
-	for _, ns := range c.nodes {
+	nodes := make([]nodeState, len(c.nodes))
+	for i, ns := range c.nodes {
+		nodes[i] = *ns
+	}
+	c.mu.Unlock()
+	mw.Family("sramd_cluster_node_up", "Node availability (1 = not in cooldown).", "gauge")
+	for _, ns := range nodes {
 		up := 1
 		if now.Before(ns.downUntil) {
 			up = 0
 		}
-		fmt.Fprintf(w, "sramd_cluster_node_up{node=%q} %d\n", ns.base, up)
+		mw.Sample("sramd_cluster_node_up", up, "node", ns.base)
 	}
-	fmt.Fprintln(w, "# HELP sramd_cluster_node_inflight Coordinator-originated jobs in flight per node.")
-	fmt.Fprintln(w, "# TYPE sramd_cluster_node_inflight gauge")
-	for _, ns := range c.nodes {
-		fmt.Fprintf(w, "sramd_cluster_node_inflight{node=%q} %d\n", ns.base, ns.inflight)
+	mw.Family("sramd_cluster_node_inflight", "Coordinator-originated jobs in flight per node.", "gauge")
+	for _, ns := range nodes {
+		mw.Sample("sramd_cluster_node_inflight", ns.inflight, "node", ns.base)
 	}
-	c.mu.Unlock()
 
 	if st := c.cfg.Store; st != nil {
 		_, _, evictions := st.Stats()
-		fmt.Fprintln(w, "# HELP sramd_cluster_store_entries Replicated results currently stored.")
-		fmt.Fprintln(w, "# TYPE sramd_cluster_store_entries gauge")
-		fmt.Fprintf(w, "sramd_cluster_store_entries %d\n", st.Len())
-		fmt.Fprintln(w, "# HELP sramd_cluster_store_evictions_total LRU evictions since start.")
-		fmt.Fprintln(w, "# TYPE sramd_cluster_store_evictions_total counter")
-		fmt.Fprintf(w, "sramd_cluster_store_evictions_total %d\n", evictions)
+		mw.Gauge("sramd_cluster_store_entries", "Replicated results currently stored.", st.Len())
+		mw.Counter("sramd_cluster_store_evictions_total", "LRU evictions since start.", evictions)
 	}
 }

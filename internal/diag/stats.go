@@ -1,25 +1,28 @@
 package diag
 
-import "sync/atomic"
+import "sramtest/internal/metrics"
 
-// Package-level diagnosis counters, in the idiom of internal/yield's and
-// internal/spice's: cumulative since process start (or ResetStats),
-// atomically updated, purely observational. The daemon's /metrics
-// endpoint exposes them as sramd_diag_* so an operator can watch the
-// matcher economy — how many signatures were diagnosed, how much of the
-// dictionary each one actually touched — and the streaming ingest
-// volume without parsing logs.
+// Diagnosis counters, cumulative since process start (or ResetStats) and
+// purely observational. They let an operator watch the matcher economy
+// (how many signatures were diagnosed, how much of the dictionary each
+// one actually touched) and the streaming ingest volume without parsing
+// logs.
 var (
-	statMatches   atomic.Int64 // completed Match calls (either matcher)
-	statExact     atomic.Int64 // matches that hit distance zero
-	statFallbacks atomic.Int64 // index queries served by the linear scan
-	statScanned   atomic.Int64 // full distance evaluations performed
+	statMatches   = metrics.NewCounter("sramd_diag_matches_total", "Completed dictionary matches (either matcher).")
+	statExact     = metrics.NewCounter("sramd_diag_exact_total", "Matches that hit distance zero.")
+	statFallbacks = metrics.NewCounter("sramd_diag_fallbacks_total", "Index queries served by the linear scan.")
+	statScanned   = metrics.NewCounter("sramd_diag_scanned_total", "Full distance evaluations across all matches.")
 
-	statStreamRequests atomic.Int64 // /v1/diagnose requests served
-	statStreamSigs     atomic.Int64 // signatures diagnosed over the stream
-	statStreamErrors   atomic.Int64 // malformed or failed stream lines
-	statStreamBytes    atomic.Int64 // request bytes consumed by the stream
+	statStreamRequests = metrics.NewCounter("sramd_diag_stream_requests_total", "/v1/diagnose requests served.")
+	statStreamSigs     = metrics.NewCounter("sramd_diag_stream_signatures_total", "Signatures diagnosed over the stream.")
+	statStreamErrors   = metrics.NewCounter("sramd_diag_stream_errors_total", "Malformed or failed stream lines.")
+	statStreamBytes    = metrics.NewCounter("sramd_diag_stream_bytes_total", "Request bytes consumed by the stream.")
 )
+
+func init() {
+	metrics.GaugeFunc("sramd_diag_mean_scanned", "Mean distance evaluations per match since start.",
+		func() float64 { return Stats().MeanScanned() })
+}
 
 // MatchStats is a snapshot of the cumulative diagnosis counters.
 type MatchStats struct {
@@ -60,14 +63,12 @@ func (s MatchStats) MeanScanned() float64 {
 
 // ResetStats zeroes all diagnosis counters (test/benchmark hygiene).
 func ResetStats() {
-	statMatches.Store(0)
-	statExact.Store(0)
-	statFallbacks.Store(0)
-	statScanned.Store(0)
-	statStreamRequests.Store(0)
-	statStreamSigs.Store(0)
-	statStreamErrors.Store(0)
-	statStreamBytes.Store(0)
+	for _, c := range []*metrics.Counter{
+		statMatches, statExact, statFallbacks, statScanned,
+		statStreamRequests, statStreamSigs, statStreamErrors, statStreamBytes,
+	} {
+		c.Reset()
+	}
 }
 
 // countMatch records one completed match that evaluated scanned full

@@ -1,17 +1,21 @@
 package engine
 
-import "sync/atomic"
+import "sramtest/internal/metrics"
 
-// Package-level static-DRV memo counters, mirroring the solver counters
-// in internal/spice/stats.go: cumulative since process start (or
-// ResetStats), atomically updated so parallel sweeps account globally
-// without a lock, and purely observational — no engine decision reads
-// them. They quantify the economy of the shared static-DRV memo
-// (bisections run versus lookups it answered).
+// Static-DRV memo counters, cumulative since process start and purely
+// observational: no engine decision reads them. They quantify the
+// economy of the shared static-DRV memo (bisections run versus lookups
+// it answered). The memo follows every static-DRV lookup: Table I, the
+// characterization anchors and the fault-map calibration.
 var (
-	statDRVSolves atomic.Int64 // static-DRV bisections run by the memoized oracle
-	statDRVHits   atomic.Int64 // static-DRV lookups answered by the memo
+	statDRVSolves = metrics.NewCounter("sramd_engine_drv_solves_total", "Static-DRV bisections run by the shared DRV memo.")
+	statDRVHits   = metrics.NewCounter("sramd_engine_drv_cache_hits_total", "Static-DRV lookups answered by the shared DRV memo.")
 )
+
+func init() {
+	metrics.GaugeFunc("sramd_engine_drv_cache_entries", "Static-DRV thresholds held by the shared DRV memo.",
+		func() int64 { return int64(DRVCacheLen()) })
+}
 
 // EngineStats is a snapshot of the cumulative engine counters.
 type EngineStats struct {
@@ -28,16 +32,10 @@ func Stats() EngineStats {
 }
 
 // Sub returns the per-interval delta s − prev, for benchmarks and
-// metrics scrapes that bracket a region of work with two snapshots.
+// tests that bracket a region of work with two snapshots.
 func (s EngineStats) Sub(prev EngineStats) EngineStats {
 	return EngineStats{
 		DRVSolves:    s.DRVSolves - prev.DRVSolves,
 		DRVCacheHits: s.DRVCacheHits - prev.DRVCacheHits,
 	}
-}
-
-// ResetStats zeroes all engine counters (test/benchmark hygiene).
-func ResetStats() {
-	statDRVSolves.Store(0)
-	statDRVHits.Store(0)
 }

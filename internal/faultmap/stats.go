@@ -1,26 +1,21 @@
 package faultmap
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sramtest/internal/metrics"
 
-// Package-level counters in the idiom of internal/yield's: cumulative
-// since process start (or ResetStats), atomically updated, purely
-// observational. The daemon's /metrics endpoint exposes them so an
-// operator can watch corpus throughput and the health of the latest
-// evaluation without parsing job artifacts.
+// Fault-map corpus counters, cumulative since process start and purely
+// observational. They let an operator watch corpus throughput and the
+// health of the latest evaluation without parsing job artifacts.
 var (
-	statRuns      atomic.Int64 // completed full corpus evaluations
-	statPartials  atomic.Int64 // completed shard partials
-	statMaps      atomic.Int64 // maps generated and evaluated
-	statFaultBits atomic.Int64 // fault bits across those maps
-	statDetected  atomic.Int64 // detected fault bits, summed over tests
-	statDropped   atomic.Int64 // miscompares beyond the bounded capture
+	statRuns      = metrics.NewCounter("sramd_faultmap_runs_total", "Completed full fault-map corpus evaluations.")
+	statPartials  = metrics.NewCounter("sramd_faultmap_partials_total", "Completed fault-map shard partials.")
+	statMaps      = metrics.NewCounter("sramd_faultmap_maps_total", "Fault maps generated and evaluated.")
+	statFaultBits = metrics.NewCounter("sramd_faultmap_fault_bits_total", "Fault bits across all generated maps.")
+	statDetected  = metrics.NewCounter("sramd_faultmap_detected_total", "Detected fault bits, summed over tests.")
+	statDropped   = metrics.NewCounter("sramd_faultmap_dropped_failures_total", "Miscompares beyond the bounded capture.")
 
-	// Last-run gauges (full evaluations only), stored as float64 bits.
-	statLastBest    atomic.Uint64 // best per-test coverage
-	statLastDensity atomic.Uint64 // fault bits per map
+	// Last-run gauges, set by full evaluations only.
+	statLastBest    = metrics.NewGauge("sramd_faultmap_last_best_coverage", "Best per-test coverage of the latest full run.")
+	statLastDensity = metrics.NewGauge("sramd_faultmap_last_bits_per_map", "Fault density of the latest full run.")
 )
 
 // FaultMapStats is a snapshot of the cumulative faultmap counters.
@@ -45,21 +40,9 @@ func Stats() FaultMapStats {
 		FaultBits:        statFaultBits.Load(),
 		Detected:         statDetected.Load(),
 		Dropped:          statDropped.Load(),
-		LastBestCoverage: math.Float64frombits(statLastBest.Load()),
-		LastBitsPerMap:   math.Float64frombits(statLastDensity.Load()),
+		LastBestCoverage: statLastBest.Load(),
+		LastBitsPerMap:   statLastDensity.Load(),
 	}
-}
-
-// ResetStats zeroes all faultmap counters (test/benchmark hygiene).
-func ResetStats() {
-	statRuns.Store(0)
-	statPartials.Store(0)
-	statMaps.Store(0)
-	statFaultBits.Store(0)
-	statDetected.Store(0)
-	statDropped.Store(0)
-	statLastBest.Store(0)
-	statLastDensity.Store(0)
 }
 
 // countRun folds a completed full evaluation into the counters.
@@ -75,8 +58,8 @@ func countRun(r Result) {
 			best = t.Coverage
 		}
 	}
-	statLastBest.Store(math.Float64bits(best))
-	statLastDensity.Store(math.Float64bits(r.BitsPerMap))
+	statLastBest.Set(best)
+	statLastDensity.Set(r.BitsPerMap)
 }
 
 // countPartial folds a completed shard partial into the counters. The

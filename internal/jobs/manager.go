@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"sramtest/internal/metrics"
 	"sramtest/internal/store"
 	"sramtest/internal/sweep"
 )
@@ -126,19 +127,12 @@ type Status struct {
 	Finished time.Time `json:"finished"`
 }
 
-// durationBuckets are the upper bounds (seconds) of the job-latency
-// histogram exposed at /metrics.
-var durationBuckets = []float64{0.01, 0.05, 0.25, 1, 5, 15, 60, 300, 1800}
-
 // Stats is a point-in-time aggregate for the metrics endpoint.
 type Stats struct {
 	Queued, Running, Done, Failed, Canceled int64
 	CacheHits, CacheMisses                  int64
 	TasksDone, TasksTotal                   int64 // sweep tasks across all jobs
-	DurationBuckets                         []float64
-	DurationCounts                          []int64 // cumulative, per bucket (+Inf last)
-	DurationSum                             float64
-	DurationCount                           int64
+	Duration                                metrics.HistogramSnapshot
 }
 
 // Manager owns the job records and the execution pool.
@@ -154,9 +148,7 @@ type Manager struct {
 	seq   int64
 
 	cacheHits, cacheMisses int64
-	durCounts              []int64
-	durSum                 float64
-	durCount               int64
+	duration               *metrics.Histogram // job execution seconds
 }
 
 // NewManager starts a manager with cfg's executors running.
@@ -181,12 +173,13 @@ func NewManager(cfg Config) *Manager {
 		run = Run
 	}
 	m := &Manager{
-		cfg:       cfg,
-		run:       run,
-		jobs:      map[string]*job{},
-		queue:     make(chan *job, cfg.QueueDepth),
-		open:      true,
-		durCounts: make([]int64, len(durationBuckets)+1),
+		cfg:   cfg,
+		run:   run,
+		jobs:  map[string]*job{},
+		queue: make(chan *job, cfg.QueueDepth),
+		open:  true,
+		// Job-latency bucket bounds in seconds, exposed at /metrics.
+		duration: metrics.NewHistogram(0.01, 0.05, 0.25, 1, 5, 15, 60, 300, 1800),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		m.wg.Add(1)
@@ -394,12 +387,9 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Stats{
-		CacheHits:       m.cacheHits,
-		CacheMisses:     m.cacheMisses,
-		DurationBuckets: durationBuckets,
-		DurationCounts:  append([]int64(nil), m.durCounts...),
-		DurationSum:     m.durSum,
-		DurationCount:   m.durCount,
+		CacheHits:   m.cacheHits,
+		CacheMisses: m.cacheMisses,
+		Duration:    m.duration.Snapshot(),
 	}
 	for _, j := range m.jobs {
 		done, total := j.progress.Snapshot()
@@ -478,7 +468,7 @@ func (m *Manager) runJob(j *job) {
 	defer m.mu.Unlock()
 	defer close(j.done)
 	j.finished = time.Now().UTC()
-	m.observeDuration(j.finished.Sub(j.started).Seconds())
+	m.duration.Observe(j.finished.Sub(j.started).Seconds())
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -504,21 +494,6 @@ func (m *Manager) runProtected(ctx context.Context, spec Spec) (result []byte, e
 		}
 	}()
 	return m.run(ctx, spec)
-}
-
-// observeDuration records one job execution in the latency histogram.
-// Callers hold m.mu.
-func (m *Manager) observeDuration(sec float64) {
-	i := len(durationBuckets)
-	for b, le := range durationBuckets {
-		if sec <= le {
-			i = b
-			break
-		}
-	}
-	m.durCounts[i]++
-	m.durSum += sec
-	m.durCount++
 }
 
 // status snapshots a job. Callers hold m.mu.

@@ -358,17 +358,17 @@ func TestStatsHistogramCounts(t *testing.T) {
 	}
 	waitState(t, m, s.ID, StateDone)
 	st := m.Stats()
-	if st.DurationCount != 1 {
-		t.Errorf("DurationCount = %d, want 1", st.DurationCount)
+	if st.Duration.Count != 1 {
+		t.Errorf("Duration.Count = %d, want 1", st.Duration.Count)
 	}
 	var total int64
-	for _, c := range st.DurationCounts {
+	for _, c := range st.Duration.Counts {
 		total += c
 	}
 	if total != 1 {
 		t.Errorf("histogram bucket sum = %d, want 1", total)
 	}
-	if len(st.DurationCounts) != len(st.DurationBuckets)+1 {
-		t.Errorf("bucket arity mismatch: %d counts for %d bounds", len(st.DurationCounts), len(st.DurationBuckets))
+	if len(st.Duration.Counts) != len(st.Duration.Bounds)+1 {
+		t.Errorf("bucket arity mismatch: %d counts for %d bounds", len(st.Duration.Counts), len(st.Duration.Bounds))
 	}
 }

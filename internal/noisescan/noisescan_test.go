@@ -193,7 +193,7 @@ func TestReportRendering(t *testing.T) {
 
 // TestStatsCounters: scans and partials tally.
 func TestStatsCounters(t *testing.T) {
-	before := Stats()
+	scans, partials, points := statScans.Load(), statPartials.Load(), statPoints.Load()
 	if _, err := Scan(context.Background(), quickParams()); err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,12 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := ShardPartial(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
-	after := Stats()
-	if after.Scans != before.Scans+1 || after.Partials != before.Partials+1 {
-		t.Fatalf("counters did not advance: %+v -> %+v", before, after)
+	if statScans.Load() != scans+1 || statPartials.Load() != partials+1 {
+		t.Fatalf("counters did not advance: scans %d -> %d, partials %d -> %d",
+			scans, statScans.Load(), partials, statPartials.Load())
 	}
-	if after.Points <= before.Points || after.LastTighten <= 0 {
-		t.Fatalf("point/gauge counters stale: %+v", after)
+	if statPoints.Load() <= points || statLastTighten.Load() <= 0 {
+		t.Fatalf("point/gauge counters stale: points %d -> %d, tighten %g",
+			points, statPoints.Load(), statLastTighten.Load())
 	}
 }

@@ -1,54 +1,19 @@
 package noisescan
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sramtest/internal/metrics"
 
-// Package-level scan counters, in the idiom of internal/yield's:
-// cumulative since process start (or ResetStats), atomically updated,
-// purely observational. The daemon's /metrics endpoint exposes them
-// (sramd_noise_*) so an operator can watch the ensemble spend and the
-// latest tightening without parsing job artifacts.
+// Scan counters, cumulative since process start and purely
+// observational. They let an operator watch the ensemble spend and the
+// latest tightening of the DRV threshold without parsing job artifacts.
 var (
-	statScans    atomic.Int64 // completed full scans
-	statPartials atomic.Int64 // completed shard partials
-	statPoints   atomic.Int64 // rail points measured
-	statFlips    atomic.Int64 // flipped ensemble members observed
+	statScans    = metrics.NewCounter("sramd_noise_scans_total", "Completed full flip-probability scans.")
+	statPartials = metrics.NewCounter("sramd_noise_partials_total", "Completed noise-scan shard partials.")
+	statPoints   = metrics.NewCounter("sramd_noise_points_total", "Rail points measured across all scans.")
+	statFlips    = metrics.NewCounter("sramd_noise_flips_total", "Flipped ensemble members observed across all scans.")
 
-	// Last-scan gauge (full scans only), stored as float64 bits.
-	statLastTighten atomic.Uint64
+	// EffDRV − StaticDRV of the latest full scan (V); partials leave it.
+	statLastTighten = metrics.NewGauge("sramd_noise_last_tighten_volts", "DRV tightening of the latest full scan.")
 )
-
-// ScanStats is a snapshot of the cumulative scan counters.
-type ScanStats struct {
-	Scans    int64 // completed full scans
-	Partials int64 // completed shard partials
-	Points   int64 // rail points measured
-	Flips    int64 // flipped ensemble members observed
-
-	LastTighten float64 // EffDRV − StaticDRV of the latest full scan (V)
-}
-
-// Stats returns a snapshot of the cumulative scan counters.
-func Stats() ScanStats {
-	return ScanStats{
-		Scans:       statScans.Load(),
-		Partials:    statPartials.Load(),
-		Points:      statPoints.Load(),
-		Flips:       statFlips.Load(),
-		LastTighten: math.Float64frombits(statLastTighten.Load()),
-	}
-}
-
-// ResetStats zeroes all scan counters (test/benchmark hygiene).
-func ResetStats() {
-	statScans.Store(0)
-	statPartials.Store(0)
-	statPoints.Store(0)
-	statFlips.Store(0)
-	statLastTighten.Store(0)
-}
 
 // countScan folds a completed full scan into the counters.
 func countScan(r Result) {
@@ -57,7 +22,7 @@ func countScan(r Result) {
 	for _, p := range r.Curve {
 		statFlips.Add(int64(p.Flips))
 	}
-	statLastTighten.Store(math.Float64bits(r.Tighten))
+	statLastTighten.Set(r.Tighten)
 }
 
 // countPartial folds a completed shard partial into the counters. The

@@ -21,11 +21,10 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"net/http"
-	"sync"
 
 	"sramtest/internal/jobs"
+	"sramtest/internal/metrics"
 	"sramtest/internal/store"
 )
 
@@ -163,21 +162,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("ok\n"))
 }
 
+// handleMetrics writes the values this server's manager and store own,
+// then every family the counting packages registered.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeMetrics(w, s.mgr, s.st)
-}
-
-// publishOnce guards the process-global expvar name.
-var publishOnce sync.Once
-
-// PublishExpvar exposes the manager/store snapshot under the expvar name
-// "sramd" (for the stdlib /debug/vars endpoint). Safe to call once per
-// process; later calls are no-ops.
-func (s *Server) PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("sramd", expvar.Func(func() any {
-			return snapshot(s.mgr, s.st)
-		}))
-	})
+	st := s.mgr.Stats()
+	mw := metrics.NewWriter(w)
+	mw.Family("sramd_jobs", "Current job records by state.", "gauge")
+	mw.Sample("sramd_jobs", st.Queued, "state", "queued")
+	mw.Sample("sramd_jobs", st.Running, "state", "running")
+	mw.Sample("sramd_jobs", st.Done, "state", "done")
+	mw.Sample("sramd_jobs", st.Failed, "state", "failed")
+	mw.Sample("sramd_jobs", st.Canceled, "state", "canceled")
+	mw.Counter("sramd_cache_hits_total", "Submissions answered from the result store.", st.CacheHits)
+	mw.Counter("sramd_cache_misses_total", "Submissions that had to compute.", st.CacheMisses)
+	ratio := 0.0
+	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
+		ratio = float64(st.CacheHits) / float64(lookups)
+	}
+	mw.Gauge("sramd_cache_hit_ratio", "Hits over lookups since start.", ratio)
+	if s.st != nil {
+		_, _, evictions := s.st.Stats()
+		mw.Gauge("sramd_store_entries", "Entries currently stored.", s.st.Len())
+		mw.Counter("sramd_store_evictions_total", "LRU evictions since start.", evictions)
+	}
+	mw.Counter("sramd_sweep_tasks_done_total", "Sweep-engine tasks completed across all jobs.", st.TasksDone)
+	mw.Counter("sramd_sweep_tasks_total", "Sweep-engine tasks scheduled across all jobs.", st.TasksTotal)
+	mw.Histogram("sramd_job_duration_seconds", "Job execution latency.", st.Duration)
+	mw.Registered()
 }

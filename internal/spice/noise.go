@@ -89,7 +89,7 @@ func NoiseSample(seed, slot int64) float64 {
 // AddEnsembleStats accounts one completed transient-ensemble member run
 // and its accepted step count to the solver counters. The engine layer's
 // noise-criterion runner calls it once per ensemble run; it exists here
-// so the counters surface through spice.Stats() next to the newton/tran
+// so the counters surface through spice.Stats() next to the Newton
 // counters they contextualize (and from there through sramd /metrics).
 func AddEnsembleStats(runs, steps int64) {
 	statEnsembleRuns.Add(runs)

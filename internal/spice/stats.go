@@ -1,25 +1,28 @@
 package spice
 
-import "sync/atomic"
+import "sramtest/internal/metrics"
 
-// Package-level solver counters. They are cumulative since process start
-// (or the last ResetStats) and are updated with atomic adds so parallel
-// sweeps — one circuit per worker, many workers — can account globally
+// Solver counters, cumulative since process start. Parallel sweeps (one
+// circuit per worker, many workers) account globally through atomic adds
 // without contention on a lock. The counters observe behaviour only; no
 // solver decision reads them.
 var (
-	statSolves          atomic.Int64 // OP/Tran top-level solve calls
-	statNewtonIters     atomic.Int64 // Newton iterations across all attempts
-	statWarmStarts      atomic.Int64 // solves seeded from a previous Solution
-	statColdRestarts    atomic.Int64 // warm solves that fell back to a cold Newton
-	statGminFallbacks   atomic.Int64 // solves that entered gmin stepping
-	statSourceFallbacks atomic.Int64 // solves that entered source stepping
-	statTranSteps       atomic.Int64 // accepted transient time steps
-	statTranRejects     atomic.Int64 // rejected (halved) transient time steps
-	statNoiseEvals      atomic.Int64 // NoiseSource transient stamp evaluations
-	statEnsembleRuns    atomic.Int64 // transient-ensemble member runs (AddEnsembleStats)
-	statEnsembleSteps   atomic.Int64 // accepted steps inside ensemble runs (AddEnsembleStats)
+	statSolves          = metrics.NewCounter("sramd_spice_solves_total", "Top-level operating-point/transient solves.")
+	statNewtonIters     = metrics.NewCounter("sramd_spice_newton_iters_total", "Newton iterations across all solves.")
+	statWarmStarts      = metrics.NewCounter("sramd_spice_warm_starts_total", "Solves seeded from a previous solution.")
+	statFallbacks       = metrics.NewCounterVec("sramd_spice_fallbacks_total", "Homotopy/cold-restart fallbacks by kind.", "kind", "cold_restart", "gmin", "source")
+	statColdRestarts    = statFallbacks.With("cold_restart")
+	statGminFallbacks   = statFallbacks.With("gmin")
+	statSourceFallbacks = statFallbacks.With("source")
+	statNoiseEvals      = metrics.NewCounter("sramd_spice_noise_evals_total", "Noise-source current evaluations in stochastic transients.")
+	statEnsembleRuns    = metrics.NewCounter("sramd_spice_ensemble_runs_total", "Stochastic-transient ensemble members completed.")
+	statEnsembleSteps   = metrics.NewCounter("sramd_spice_ensemble_steps_total", "Transient timesteps across all ensemble members.")
 )
+
+func init() {
+	metrics.GaugeFunc("sramd_spice_newton_iters_per_solve", "Mean Newton iterations per solve since start.",
+		func() float64 { return Stats().ItersPerSolve() })
+}
 
 // SolverStats is a snapshot of the cumulative solver counters.
 type SolverStats struct {
@@ -29,8 +32,6 @@ type SolverStats struct {
 	ColdRestarts    int64 // warm solves retried from zero after homotopy failed
 	GminFallbacks   int64 // solves that needed gmin stepping
 	SourceFallbacks int64 // solves that needed source stepping
-	TranSteps       int64 // accepted transient steps
-	TranRejects     int64 // rejected transient steps (step halved)
 	NoiseEvals      int64 // NoiseSource stamp evaluations in transient solves
 	EnsembleRuns    int64 // noise-ensemble member runs accounted by the engine
 	EnsembleSteps   int64 // accepted transient steps within ensemble runs
@@ -45,16 +46,14 @@ func Stats() SolverStats {
 		ColdRestarts:    statColdRestarts.Load(),
 		GminFallbacks:   statGminFallbacks.Load(),
 		SourceFallbacks: statSourceFallbacks.Load(),
-		TranSteps:       statTranSteps.Load(),
-		TranRejects:     statTranRejects.Load(),
 		NoiseEvals:      statNoiseEvals.Load(),
 		EnsembleRuns:    statEnsembleRuns.Load(),
 		EnsembleSteps:   statEnsembleSteps.Load(),
 	}
 }
 
-// Sub returns the per-interval delta s − prev, for benchmarks and metrics
-// scrapes that bracket a region of work with two snapshots.
+// Sub returns the per-interval delta s − prev, for benchmarks that
+// bracket a region of work with two snapshots.
 func (s SolverStats) Sub(prev SolverStats) SolverStats {
 	return SolverStats{
 		Solves:          s.Solves - prev.Solves,
@@ -63,8 +62,6 @@ func (s SolverStats) Sub(prev SolverStats) SolverStats {
 		ColdRestarts:    s.ColdRestarts - prev.ColdRestarts,
 		GminFallbacks:   s.GminFallbacks - prev.GminFallbacks,
 		SourceFallbacks: s.SourceFallbacks - prev.SourceFallbacks,
-		TranSteps:       s.TranSteps - prev.TranSteps,
-		TranRejects:     s.TranRejects - prev.TranRejects,
 		NoiseEvals:      s.NoiseEvals - prev.NoiseEvals,
 		EnsembleRuns:    s.EnsembleRuns - prev.EnsembleRuns,
 		EnsembleSteps:   s.EnsembleSteps - prev.EnsembleSteps,
@@ -78,19 +75,4 @@ func (s SolverStats) ItersPerSolve() float64 {
 		return 0
 	}
 	return float64(s.NewtonIters) / float64(s.Solves)
-}
-
-// ResetStats zeroes all counters (test/benchmark hygiene).
-func ResetStats() {
-	statSolves.Store(0)
-	statNewtonIters.Store(0)
-	statWarmStarts.Store(0)
-	statColdRestarts.Store(0)
-	statGminFallbacks.Store(0)
-	statSourceFallbacks.Store(0)
-	statTranSteps.Store(0)
-	statTranRejects.Store(0)
-	statNoiseEvals.Store(0)
-	statEnsembleRuns.Store(0)
-	statEnsembleSteps.Store(0)
 }

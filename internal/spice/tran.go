@@ -166,11 +166,9 @@ func TranInto(c *Circuit, initial *Solution, spec TranSpec, opt Options, wf *Wav
 			if dt/2 < spec.DtMin {
 				return fmt.Errorf("spice: transient stalled at t=%g (dt=%g): %w", t, dt, err)
 			}
-			statTranRejects.Add(1)
 			dt /= 2
 			continue
 		}
-		statTranSteps.Add(1)
 		t += dt
 		copy(ctx.Prev, ctx.X)
 		ctx.First = false

@@ -2,35 +2,39 @@ package yield
 
 import (
 	"math"
-	"sync/atomic"
+
+	"sramtest/internal/metrics"
 )
 
-// Package-level yield counters, in the idiom of internal/engine's and
-// internal/spice's: cumulative since process start (or ResetStats),
-// atomically updated, purely observational. The daemon's /metrics
-// endpoint exposes them so an operator can watch the screen economy
-// (screens vs escalations), the exact-solve spend, and the health of
-// the latest estimate (ESS, shift depth, tail depth) without parsing
-// job artifacts.
+// Yield counters, cumulative since process start and purely
+// observational. They let an operator watch the screen economy (screens
+// vs escalations), the exact-solve spend, and the health of the latest
+// estimate (ESS, shift depth, tail depth) without parsing job artifacts.
 var (
-	statRuns        atomic.Int64 // completed full estimates
-	statPartials    atomic.Int64 // completed shard partials
-	statScreens     atomic.Int64 // samples answered by the surrogate band
-	statEscalations atomic.Int64 // samples escalated to exact confirmation
-	statExactSolves atomic.Int64 // full DRV bisections spent (all causes)
-	statFailures    atomic.Int64 // exact-confirmed failing samples
+	statRuns        = metrics.NewCounter("sramd_yield_runs_total", "Completed full yield estimates.")
+	statPartials    = metrics.NewCounter("sramd_yield_partials_total", "Completed shard partials.")
+	statDecisions   = metrics.NewCounterVec("sramd_yield_decisions_total", "Yield samples by outcome.", "outcome", "screened", "escalated")
+	statScreens     = statDecisions.With("screened")  // samples answered by the screen's band
+	statEscalations = statDecisions.With("escalated") // samples escalated to exact confirmation
+	statExactSolves = metrics.NewCounter("sramd_yield_exact_solves_total", "Full DRV bisections spent on yield estimation.")
+	statFailures    = metrics.NewCounter("sramd_yield_failures_total", "Exact-confirmed failing samples.")
 
-	// Last-run gauges (full estimates only), stored as float64 bits.
-	statLastESS   atomic.Uint64
-	statLastShift atomic.Uint64
-	statLastSigma atomic.Uint64
+	// Last-run gauges, set by full estimates only.
+	statLastESS   = metrics.NewGauge("sramd_yield_last_ess", "Effective sample size of the latest full estimate.")
+	statLastShift = metrics.NewGauge("sramd_yield_last_shift_sigma", "Mean-shift norm of the latest full estimate.")
+	statLastSigma = metrics.NewGauge("sramd_yield_last_tail_sigma", "Tail depth of the latest full estimate.")
 )
+
+func init() {
+	metrics.GaugeFunc("sramd_yield_screen_ratio", "Screened over screened+escalated since start.",
+		func() float64 { return Stats().ScreenRatio() })
+}
 
 // YieldStats is a snapshot of the cumulative yield counters.
 type YieldStats struct {
 	Runs        int64 // completed full estimates
 	Partials    int64 // completed shard partials
-	Screens     int64 // samples answered by the surrogate band
+	Screens     int64 // samples answered by the screen's band
 	Escalations int64 // samples escalated to exact confirmation
 	ExactSolves int64 // full DRV bisections spent
 	Failures    int64 // exact-confirmed failures
@@ -49,33 +53,20 @@ func Stats() YieldStats {
 		Escalations:   statEscalations.Load(),
 		ExactSolves:   statExactSolves.Load(),
 		Failures:      statFailures.Load(),
-		LastESS:       math.Float64frombits(statLastESS.Load()),
-		LastShiftNorm: math.Float64frombits(statLastShift.Load()),
-		LastSigma:     math.Float64frombits(statLastSigma.Load()),
+		LastESS:       statLastESS.Load(),
+		LastShiftNorm: statLastShift.Load(),
+		LastSigma:     statLastSigma.Load(),
 	}
 }
 
-// ScreenRatio returns the fraction of samples the band answered, or 0
-// when none ran.
+// ScreenRatio returns the fraction of samples the screen's band
+// answered without an exact solve, or 0 when none ran.
 func (s YieldStats) ScreenRatio() float64 {
 	total := s.Screens + s.Escalations
 	if total == 0 {
 		return 0
 	}
 	return float64(s.Screens) / float64(total)
-}
-
-// ResetStats zeroes all yield counters (test/benchmark hygiene).
-func ResetStats() {
-	statRuns.Store(0)
-	statPartials.Store(0)
-	statScreens.Store(0)
-	statEscalations.Store(0)
-	statExactSolves.Store(0)
-	statFailures.Store(0)
-	statLastESS.Store(0)
-	statLastShift.Store(0)
-	statLastSigma.Store(0)
 }
 
 // countRun folds a completed full estimate into the counters.
@@ -85,13 +76,13 @@ func countRun(r Result) {
 	statEscalations.Add(r.Escalations)
 	statExactSolves.Add(r.ExactSolves)
 	statFailures.Add(int64(r.Failures))
-	statLastESS.Store(math.Float64bits(r.ESS))
-	statLastShift.Store(math.Float64bits(r.ShiftNorm))
+	statLastESS.Set(r.ESS)
+	statLastShift.Set(r.ShiftNorm)
 	sigma := r.SigmaEquiv
 	if math.IsInf(sigma, 0) || math.IsNaN(sigma) {
 		sigma = 0
 	}
-	statLastSigma.Store(math.Float64bits(sigma))
+	statLastSigma.Set(sigma)
 }
 
 // countPartial folds a completed shard partial into the counters. The
