@@ -17,10 +17,12 @@
 #   make noise-smoke  EXP-NS flip-probability scan: static-vs-noise
 #                     divergence gate on the near-DRV cell; worker counts,
 #                     cluster shards and daemon job must be byte-identical
+#   make artifacts    rerun every EXPERIMENTS.md command; results/ must
+#                     stay byte-identical (git diff --exit-code)
 
 GO ?= go
 
-.PHONY: verify build vet fmt test race fuzz bench bench-report serve-smoke diag-smoke diag-index-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke
+.PHONY: verify build vet fmt test race fuzz bench bench-report serve-smoke diag-smoke diag-index-smoke cluster-smoke loadgen-smoke yield-smoke faultmap-smoke noise-smoke artifacts
 
 verify: build vet fmt test
 
@@ -80,3 +82,6 @@ faultmap-smoke:
 
 noise-smoke:
 	sh scripts/noise-smoke.sh
+
+artifacts:
+	sh scripts/artifacts.sh

@@ -7,6 +7,7 @@
 //	defectchar                    # all 17 defects × 5 case studies, reduced grid
 //	defectchar -full              # full 45-condition PVT grid (slow)
 //	defectchar -defect 16 -cs 1   # a single Table II cell
+//	defectchar -criterion noise   # decide retention under the noise criterion
 //	defectchar -classify          # re-derive the §IV.B defect categories
 //	defectchar -stability         # regulator loop-gain/phase-margin report
 //	defectchar -csv               # emit CSV
@@ -17,9 +18,8 @@ import (
 	"fmt"
 	"os"
 
-	"sramtest/internal/charac"
 	"sramtest/internal/cli"
-	"sramtest/internal/exp"
+	"sramtest/internal/jobs"
 	"sramtest/internal/power"
 	"sramtest/internal/process"
 	"sramtest/internal/regulator"
@@ -36,20 +36,11 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV")
 	)
 	applyWorkers := cli.Workers(flag.CommandLine)
-	applyCriterion := cli.Criterion(flag.CommandLine)
+	criterion := cli.Criterion(flag.CommandLine)
 	startProfile := cli.Profile(flag.CommandLine)
 	flag.Parse()
 	applyWorkers()
-	if err := applyCriterion(); err != nil {
-		fmt.Fprintln(os.Stderr, "defectchar:", err)
-		os.Exit(2)
-	}
 	defer startProfile()()
-
-	opt := charac.DefaultOptions()
-	if !*full {
-		opt.Conditions = charac.ReducedGrid()
-	}
 
 	if *classify {
 		runClassify()
@@ -60,47 +51,16 @@ func main() {
 		return
 	}
 
-	defects := regulator.DRFCandidates()
+	// 0 selects every defect or case study (the spec's empty list).
+	spec := jobs.Spec{Kind: jobs.KindCharac, CSV: *csv, Criterion: *criterion,
+		Charac: &jobs.CharacSpec{Full: *full}}
 	if *defect != 0 {
-		d := regulator.Defect(*defect)
-		if !d.Valid() {
-			fmt.Fprintf(os.Stderr, "defectchar: invalid defect %d\n", *defect)
-			os.Exit(2)
-		}
-		defects = []regulator.Defect{d}
+		spec.Charac.Defects = []int{*defect}
 	}
-	csList := charac.Table2CaseStudies()
 	if *cs != 0 {
-		if *cs < 1 || *cs > 5 {
-			fmt.Fprintf(os.Stderr, "defectchar: invalid case study %d\n", *cs)
-			os.Exit(2)
-		}
-		csList = csList[*cs-1 : *cs]
+		spec.Charac.CaseStudies = []int{*cs}
 	}
-
-	var results []charac.Result
-	for _, d := range defects {
-		for _, c := range csList {
-			res, err := charac.CharacterizeDefect(d, c, opt)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "defectchar:", err)
-				os.Exit(1)
-			}
-			results = append(results, res)
-			fmt.Fprintf(os.Stderr, "done %s/%s: %s\n", d, c.Name, res)
-		}
-	}
-	t := exp.Table2Report(results)
-	var err error
-	if *csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "defectchar:", err)
-		os.Exit(1)
-	}
+	cli.Run("defectchar", spec, "", 0)
 }
 
 // runStability verifies the regulator design itself: loop gain, phase

@@ -254,13 +254,7 @@ func runStats(args []string) {
 	}
 	fmt.Printf("dictionary %s: %s at %s/%g°C, dwell %gs, %d flow + %d extra conditions\n",
 		*dict, d.Test, d.Corner, d.TempC, d.Dwell, len(d.Flow), len(d.Extra))
-	t := exp.DiagReport(exp.DiagStatsOf(d))
-	if *csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
+	if err := exp.DiagReport(exp.DiagStatsOf(d)).Render(os.Stdout, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "diagnose:", err)
 		os.Exit(1)
 	}

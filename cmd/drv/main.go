@@ -7,6 +7,7 @@
 //	drv -table1            # Table I on the full corner×temperature grid
 //	drv -fig4 [-points N]  # Fig. 4(a)/(b) sweeps
 //	drv -dwell             # flip time vs undervoltage margin
+//	drv -mc N              # Monte-Carlo DRV distribution of N random cells
 //	drv -quick             # restrict any of the above to the dominant PVT conditions
 //	drv -csv               # emit tables as CSV instead of ASCII
 package main
@@ -19,6 +20,7 @@ import (
 	"sramtest/internal/cell"
 	"sramtest/internal/cli"
 	"sramtest/internal/exp"
+	"sramtest/internal/jobs"
 	"sramtest/internal/num"
 	"sramtest/internal/process"
 	"sramtest/internal/report"
@@ -52,17 +54,10 @@ func main() {
 	}
 
 	emit := func(t *report.Table) {
-		var err error
-		if *csv {
-			err = t.WriteCSV(os.Stdout)
-		} else {
-			err = t.Write(os.Stdout)
-		}
-		if err != nil {
+		if err := report.RenderAll(os.Stdout, *csv, t); err != nil {
 			fmt.Fprintln(os.Stderr, "drv:", err)
 			os.Exit(1)
 		}
-		fmt.Println()
 	}
 
 	if *table1 {
@@ -92,9 +87,7 @@ func main() {
 		}
 	}
 	if *mc > 0 {
-		cond := process.Condition{Corner: process.FS, VDD: 1.1, TempC: 125}
-		res := exp.MonteCarlo(cond, *mc, 2013)
-		emit(exp.MonteCarloReport(res, exp.NewWorstDRVForTest(cond)))
+		cli.Run("drv", jobs.Spec{Kind: jobs.KindExp, CSV: *csv, Exp: &jobs.ExpSpec{Samples: *mc}}, "", 0)
 	}
 	if *dwell {
 		// Both temperature extremes: hot cells flip within ns of the DS

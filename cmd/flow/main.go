@@ -18,11 +18,9 @@ import (
 	"strconv"
 	"strings"
 
-	"sramtest/internal/cell"
 	"sramtest/internal/cli"
 	"sramtest/internal/exp"
-	"sramtest/internal/process"
-	"sramtest/internal/regulator"
+	"sramtest/internal/jobs"
 	"sramtest/internal/testflow"
 )
 
@@ -45,56 +43,19 @@ func main() {
 		return
 	}
 
-	mopt := testflow.DefaultMeasureOptions()
+	spec := jobs.Spec{Kind: jobs.KindTestFlow, CSV: *csv,
+		TestFlow: &jobs.TestFlowSpec{NoVDDConstraint: *noVDD}}
 	if *defectsFlag != "" {
-		var ds []regulator.Defect
 		for _, tok := range strings.Split(*defectsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || !regulator.Defect(n).Valid() {
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "flow: bad defect %q\n", tok)
 				os.Exit(2)
 			}
-			ds = append(ds, regulator.Defect(n))
+			spec.TestFlow.Defects = append(spec.TestFlow.Defects, n)
 		}
-		mopt.Defects = ds
 	}
-
-	fmt.Fprintf(os.Stderr, "measuring %d defects × 12 test conditions at %s/%g°C...\n",
-		len(mopt.Defects), mopt.Corner, mopt.TempC)
-	sens, err := testflow.Measure(mopt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flow:", err)
-		os.Exit(1)
-	}
-
-	cond := process.Condition{Corner: mopt.Corner, VDD: 1.1, TempC: mopt.TempC}
-	worst := cell.New(mopt.CS.Variation, cond).DRV1()
-	oopt := testflow.DefaultOptimizeOptions(worst)
-	oopt.RequireAllVDD = !*noVDD
-	flow := testflow.Optimize(sens, oopt)
-
-	res := exp.Table3Result{WorstDRV: worst, Sensitivities: sens, Flow: flow}
-	t := exp.Table3Report(res)
-	if *csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flow:", err)
-		os.Exit(1)
-	}
-	fmt.Println()
-	if len(flow.Uncoverable) > 0 {
-		fmt.Printf("defects undetectable at every eligible condition: %v\n", flow.Uncoverable)
-	}
-
-	// Sensitivity matrix (one row per condition).
-	if !*csv {
-		_ = exp.SensitivityReport(sens, mopt.Defects).Write(os.Stdout)
-		fmt.Println()
-	}
-	printTime(exp.TestTime(flow))
+	cli.Run("flow", spec, "", 0)
 }
 
 func printTime(r exp.TestTimeResult) {

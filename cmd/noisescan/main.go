@@ -11,25 +11,19 @@
 //	noisescan [-cs N] [-points P] [-runs R] [-sigma A] [-seed S] [-csv]
 //	noisescan -cluster URL [-shards K]   # fan shards out over POST /v1/batch
 //
-// Local runs scan in-process on the sweep engine; -cluster sends K shard
-// jobs through an sramd node or coordinator's batch endpoint, merges the
-// returned partials with noisescan.MergePartials, and renders the same
-// tables. Both paths are byte-identical to the daemon's own noisescan
+// The flags become one noisescan job spec. A local run writes
+// jobs.Run's bytes; -cluster sends K shard jobs through an sramd node or
+// coordinator's batch endpoint and writes jobs.Merge's rendering of
+// their partials. Both are byte-identical to the daemon's own noisescan
 // job output at any worker count and any shard count.
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
-	"os"
 
 	"sramtest/internal/cli"
-	"sramtest/internal/cluster"
-	"sramtest/internal/engine"
 	"sramtest/internal/jobs"
 	"sramtest/internal/noisescan"
-	"sramtest/internal/report"
 )
 
 func main() {
@@ -51,84 +45,10 @@ func main() {
 	applyWorkers()
 	defer startProfile()()
 
-	noise := engine.DefaultNoiseParams()
-	if *runs > 0 {
-		noise.Runs = *runs
-	}
-	if *sigma > 0 {
-		noise.Sigma = *sigma
-	}
-	if *seed != 0 {
-		noise.Seed = *seed
-	}
-	p := noisescan.Params{
-		CaseStudy: *cs,
-		Points:    *points,
-		Below:     *below,
-		Above:     *above,
-		Noise:     noise,
-	}
-
-	var (
-		res noisescan.Result
-		err error
-	)
-	if *clusterURL != "" {
-		res, err = clusterScan(*clusterURL, *shards, p)
-	} else {
-		res, err = noisescan.Scan(context.Background(), p)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noisescan:", err)
-		os.Exit(1)
-	}
-	emit(noisescan.Summary(res), *csv)
-	emit(noisescan.Curve(res), *csv)
-}
-
-func emit(t *report.Table, csv bool) {
-	var err error
-	if csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "noisescan:", err)
-		os.Exit(1)
-	}
-	fmt.Println()
-}
-
-// clusterScan fans K shard jobs out through the batch endpoint and
-// merges the partials. Shard s owns the rail points i ≡ s (mod K), and
-// every point's ensemble draws the same reserved criterion streams, so
-// the merged result is byte-identical to a local single-shard run with
-// the same parameters — the cluster only changes where the solves run.
-func clusterScan(target string, shards int, p noisescan.Params) (noisescan.Result, error) {
-	if shards < 2 {
-		return noisescan.Result{}, fmt.Errorf("-shards must be >= 2 in cluster mode (one shard is a plain job)")
-	}
-	specs := make([]jobs.Spec, shards)
-	for s := range specs {
-		specs[s] = jobs.Spec{
-			Kind: jobs.KindNoiseScan,
-			NoiseScan: &jobs.NoiseScanSpec{
-				CaseStudy: p.CaseStudy, Points: p.Points,
-				Below: p.Below, Above: p.Above,
-				Shards: shards, Shard: s,
-			},
-			Noise: &jobs.NoiseSpec{
-				Runs: p.Noise.Runs, Sigma: p.Noise.Sigma,
-				SlotDt: p.Noise.SlotDt, Window: p.Noise.Window,
-				PFail: p.Noise.PFail, Tol: p.Noise.Tol,
-				MaxTighten: p.Noise.MaxTighten, Seed: p.Noise.Seed,
-			},
-		}
-	}
-	parts, err := cluster.FanOut[noisescan.Partial](context.Background(), target, specs)
-	if err != nil {
-		return noisescan.Result{}, err
-	}
-	return noisescan.MergePartials(parts)
+	// Zero ensemble parameters select the engine defaults.
+	cli.Run("noisescan", jobs.Spec{
+		Kind: jobs.KindNoiseScan, CSV: *csv,
+		NoiseScan: &jobs.NoiseScanSpec{CaseStudy: *cs, Points: *points, Below: *below, Above: *above},
+		Noise:     &jobs.NoiseSpec{Runs: *runs, Sigma: *sigma, Seed: *seed},
+	}, *clusterURL, *shards)
 }

@@ -37,14 +37,7 @@ func main() {
 		conds = filtered
 	}
 	rows := exp.PowerSavings(conds)
-	t := exp.PowerReport(rows)
-	var err error
-	if *csv {
-		err = t.WriteCSV(os.Stdout)
-	} else {
-		err = t.Write(os.Stdout)
-	}
-	if err != nil {
+	if err := exp.PowerReport(rows).Render(os.Stdout, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "powersim:", err)
 		os.Exit(1)
 	}

@@ -59,9 +59,8 @@ type Options struct {
 	// backend (engine.Default). The backend's name is part of the point
 	// memo key, so runs with a substituted engine never share points.
 	Engine engine.Engine
-	// Criterion selects the retention-decision criterion; nil uses the
-	// process default (engine.DefaultCriterion — Static unless the
-	// -criterion flag picked another). Like the engine, the criterion's
+	// Criterion selects the retention-decision criterion; nil means
+	// Static, the paper's criterion. Like the engine, the criterion's
 	// name is part of the point memo key: a noise-tightened minimal
 	// resistance must never masquerade as a static one.
 	Criterion engine.Criterion
@@ -78,8 +77,8 @@ func (o Options) ctx() context.Context {
 // engine returns the options' backend, defaulting to the exact one.
 func (o Options) engine() engine.Engine { return engine.Pick(o.Engine) }
 
-// criterion returns the options' retention criterion, defaulting to the
-// process default.
+// criterion returns the options' retention criterion, defaulting to
+// Static.
 func (o Options) criterion() engine.Criterion { return engine.PickCriterion(o.Criterion) }
 
 // level returns the reference level for a condition under the options'

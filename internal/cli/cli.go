@@ -1,9 +1,12 @@
 // Package cli holds the small flag helpers shared by the cmd tools, so
 // every binary exposes the same knobs with the same semantics instead of
-// each re-implementing them.
+// each re-implementing them, and Run, the one path from a sweep CLI's
+// job spec to its stdout.
 package cli
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -11,8 +14,10 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"sramtest/internal/cluster"
 	"sramtest/internal/engine"
 	_ "sramtest/internal/engine/spicebe" // the simulation backend
+	"sramtest/internal/jobs"
 	"sramtest/internal/sweep"
 )
 
@@ -26,24 +31,41 @@ func Workers(fs *flag.FlagSet) (apply func()) {
 	return func() { sweep.SetDefaultWorkers(*n) }
 }
 
-// Criterion registers the standard -criterion flag on fs and returns an
-// apply function to call after fs.Parse: it resolves the chosen
-// retention criterion and installs it as the process-wide default
-// (engine.SetDefaultCriterion), so every evaluation whose options leave
-// the criterion nil follows the flag. The empty value keeps the static
-// DRV rule — the paper's criterion and the pre-seam behavior, byte for
-// byte. "noise" switches retention decisions to the accelerated
-// stochastic-transient ensemble with the engine's default NoiseParams.
-func Criterion(fs *flag.FlagSet) (apply func() error) {
-	name := fs.String("criterion", "",
+// Criterion registers the standard -criterion flag on fs: the retention
+// criterion a job spec's Criterion field names. The empty default is the
+// static DRV rule, the paper's criterion; "noise" decides retention from
+// accelerated stochastic-transient ensembles with the default
+// parameters. The spec validates the name.
+func Criterion(fs *flag.FlagSet) *string {
+	return fs.String("criterion", "",
 		fmt.Sprintf("retention criterion: %s (default static)", strings.Join(engine.CriterionNames(), "|")))
-	return func() error {
-		c, err := engine.ResolveCriterion(*name)
-		if err != nil {
-			return err
+}
+
+// Run writes the bytes of spec's job to stdout: jobs.Run's, or, when
+// target is set, those of shards shard jobs posted to target's batch
+// endpoint and merged by cluster.RunSharded — the same bytes either
+// way. An invalid spec exits with status 2, any other failure with
+// status 1, each reported on stderr under prog.
+func Run(prog string, spec jobs.Spec, target string, shards int) {
+	var (
+		out []byte
+		err error
+	)
+	if target != "" {
+		out, err = cluster.RunSharded(context.Background(), target, spec, shards)
+	} else {
+		out, err = jobs.Run(context.Background(), spec)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		if errors.Is(err, jobs.ErrBadSpec) {
+			os.Exit(2)
 		}
-		engine.SetDefaultCriterion(c)
-		return nil
+		os.Exit(1)
+	}
+	if _, err := os.Stdout.Write(out); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		os.Exit(1)
 	}
 }
 

@@ -1,11 +1,11 @@
 package cli
 
 import (
+	"errors"
 	"flag"
-	"strings"
 	"testing"
 
-	"sramtest/internal/engine"
+	"sramtest/internal/jobs"
 	"sramtest/internal/sweep"
 )
 
@@ -38,45 +38,42 @@ func TestWorkersFlagDefaultKeepsEnvFallback(t *testing.T) {
 	}
 }
 
-func TestCriterionFlag(t *testing.T) {
-	defer engine.SetDefaultCriterion(engine.Static{})
-
+// criterionSpec parses args with the -criterion flag and returns the
+// normalized charac spec the flag's value names, as defectchar builds it.
+func criterionSpec(t *testing.T, args ...string) (jobs.Spec, error) {
+	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Criterion(fs)
-	if err := fs.Parse([]string{"-criterion", "noise"}); err != nil {
+	name := Criterion(fs)
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if err := apply(); err != nil {
+	return jobs.Spec{Kind: jobs.KindCharac, Criterion: *name}.Normalize()
+}
+
+func TestCriterionFlag(t *testing.T) {
+	spec, err := criterionSpec(t, "-criterion", "noise")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if name := engine.DefaultCriterion().Name(); !strings.HasPrefix(name, "noise.v1") {
-		t.Errorf("default criterion after apply = %q, want a noise.v1 criterion", name)
+	if spec.Criterion != "noise" || spec.Noise == nil {
+		t.Errorf("-criterion noise gave criterion %q, noise %v; want explicit noise parameters", spec.Criterion, spec.Noise)
 	}
 }
 
 func TestCriterionFlagDefaultKeepsStatic(t *testing.T) {
-	defer engine.SetDefaultCriterion(engine.Static{})
-
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Criterion(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err != nil {
-		t.Fatal(err)
-	}
-	if name := engine.DefaultCriterion().Name(); name != "static" {
-		t.Errorf("unset flag must keep the static criterion: got %q", name)
+	for _, args := range [][]string{nil, {"-criterion", "static"}} {
+		spec, err := criterionSpec(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Criterion != "" || spec.Noise != nil {
+			t.Errorf("%v must keep the static criterion: got %q", args, spec.Criterion)
+		}
 	}
 }
 
 func TestCriterionFlagRejectsUnknown(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	apply := Criterion(fs)
-	if err := fs.Parse([]string{"-criterion", "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err == nil {
-		t.Error("unknown criterion accepted")
+	if _, err := criterionSpec(t, "-criterion", "bogus"); !errors.Is(err, jobs.ErrBadSpec) {
+		t.Errorf("unknown criterion: err = %v, want ErrBadSpec", err)
 	}
 }

@@ -171,18 +171,18 @@ func PostBatch(ctx context.Context, target string, specs []jobs.Spec) ([][]byte,
 	return out, nil
 }
 
-// FanOut posts shard specs through PostBatch and decodes each line's
-// result as the JSON partial P, in spec order.
-func FanOut[P any](ctx context.Context, target string, specs []jobs.Spec) ([]P, error) {
-	results, err := PostBatch(ctx, target, specs)
+// RunSharded runs a whole yield, faultmap or noisescan spec as k shard
+// jobs posted in one batch to target (a node or a coordinator) and
+// returns jobs.Merge's rendering of their partials: the bytes jobs.Run
+// returns for spec, computed wherever target places the shards.
+func RunSharded(ctx context.Context, target string, spec jobs.Spec, k int) ([]byte, error) {
+	specs, err := spec.Split(k)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]P, len(results))
-	for i, data := range results {
-		if err := json.Unmarshal(data, &parts[i]); err != nil {
-			return nil, fmt.Errorf("shard %d: bad partial: %w", i, err)
-		}
+	parts, err := PostBatch(ctx, target, specs)
+	if err != nil {
+		return nil, err
 	}
-	return parts, nil
+	return jobs.Merge(spec, parts)
 }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,26 +92,61 @@ func TestPostBatch(t *testing.T) {
 	}
 }
 
-// TestFanOutDecodes: FanOut decodes each result as a JSON partial and
-// rejects a line whose bytes are not one.
-func TestFanOutDecodes(t *testing.T) {
-	specs := make([]jobs.Spec, 2)
-	for s := range specs {
-		specs[s] = jobs.Spec{Kind: jobs.KindYield, Yield: &jobs.YieldSpec{Samples: 64, Shards: 2, Shard: s}}
-	}
-	type partial struct{ Shard int }
-	srv := cannedBatch(t, 2, http.StatusOK, done(t, 1, `{"Shard":1}`)+done(t, 0, `{"Shard":0}`))
-	parts, err := cluster.FanOut[partial](context.Background(), srv.URL, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range parts {
-		if p.Shard != i {
-			t.Errorf("partial %d decoded as shard %d", i, p.Shard)
+// runningNode answers POST /v1/batch by running each spec line through
+// jobs.Run, streaming the results in reverse order.
+func runningNode(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lines, err := cluster.ReadBatchLines(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		bw := cluster.NewBatchWriter(w)
+		for i := len(lines) - 1; i >= 0; i-- {
+			spec, err := cluster.DecodeSpec(lines[i])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out, err := jobs.Run(r.Context(), spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = bw.Write(cluster.BatchResult{Index: i, State: cluster.BatchStateDone, Result: out})
+		}
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestRunShardedMatchesRun: a sharded run renders exactly jobs.Run's
+// bytes for the whole spec, text and CSV, and refuses a result that is
+// not a partial or a one-shard split.
+func TestRunShardedMatchesRun(t *testing.T) {
+	srv := runningNode(t)
+	for _, csv := range []bool{false, true} {
+		spec := jobs.Spec{Kind: jobs.KindNoiseScan, CSV: csv, NoiseScan: &jobs.NoiseScanSpec{Points: 4}}
+		want, err := jobs.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cluster.RunSharded(context.Background(), srv.URL, spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("csv=%v: sharded bytes differ from jobs.Run:\n--- sharded ---\n%s\n--- run ---\n%s", csv, got, want)
 		}
 	}
-	srv = cannedBatch(t, 2, http.StatusOK, done(t, 1, `{"Shard":1}`)+done(t, 0, "table text"))
-	if _, err := cluster.FanOut[partial](context.Background(), srv.URL, specs); err == nil || !strings.Contains(err.Error(), "shard 0: bad partial") {
+
+	spec := jobs.Spec{Kind: jobs.KindYield, Yield: &jobs.YieldSpec{Samples: 64}}
+	if _, err := cluster.RunSharded(context.Background(), srv.URL, spec, 1); !errors.Is(err, jobs.ErrBadSpec) {
+		t.Errorf("one shard: err = %v, want ErrBadSpec", err)
+	}
+	canned := cannedBatch(t, 2, http.StatusOK, done(t, 1, `{}`)+done(t, 0, "table text"))
+	if _, err := cluster.RunSharded(context.Background(), canned.URL, spec, 2); err == nil || !strings.Contains(err.Error(), "shard 0: bad partial") {
 		t.Errorf("non-JSON result: err = %v, want a bad-partial error", err)
 	}
 }

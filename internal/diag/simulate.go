@@ -77,8 +77,8 @@ func simulate(opt Options, cand Candidate, tc testflow.TestCondition, warm **spi
 		// dictionary, the matcher corpus and every fielded signature were
 		// generated under the static DRV rule, and a criterion mismatch
 		// between dictionary and observation would silently corrupt
-		// matching. The criterion is therefore pinned (not picked from the
-		// process default) and needs no simKey field.
+		// matching. The criterion is therefore pinned to Static and needs
+		// no simKey field.
 		ev, err := eng.Eval(cond, tc.Level, sopt, engine.Static{})
 		if err != nil {
 			return CondSignature{}, fmt.Errorf("diag: %s R=%.3g at %s: %w", cand.Defect, cand.Res, tc, err)

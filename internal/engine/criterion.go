@@ -59,7 +59,7 @@ type Criterion interface {
 
 // Static is the paper's original DRF criterion: a datum is lost when the
 // settled rail sits below the static DRV (SNM → 0) and the flip
-// completes within the DS dwell. It is the process default and the
+// completes within the DS dwell. It is the default criterion and the
 // identity element of the seam — a Static-criterion run is byte-
 // identical to the pre-seam code at every layer.
 type Static struct{}
@@ -221,38 +221,11 @@ func ResolveCriterion(name string) (Criterion, error) {
 	return nil, fmt.Errorf("engine: unknown criterion %q (have %v)", name, CriterionNames())
 }
 
-// defaultCriterion is the process-wide default, settable by the shared
-// -criterion flag (internal/cli).
-var (
-	defaultCritMu    sync.Mutex
-	defaultCriterion Criterion
-)
-
-// SetDefaultCriterion installs the process-wide default criterion. nil
-// resets to Static.
-func SetDefaultCriterion(c Criterion) {
-	defaultCritMu.Lock()
-	defaultCriterion = c
-	defaultCritMu.Unlock()
-}
-
-// DefaultCriterion returns the process-wide default criterion: the one
-// installed by SetDefaultCriterion, else Static.
-func DefaultCriterion() Criterion {
-	defaultCritMu.Lock()
-	c := defaultCriterion
-	defaultCritMu.Unlock()
-	if c != nil {
-		return c
-	}
-	return Static{}
-}
-
-// PickCriterion returns c when non-nil, else the process default. Sweep
-// options use it to resolve their Criterion field.
+// PickCriterion returns c when non-nil, else Static — the paper's
+// criterion. Sweep options use it to resolve their Criterion field.
 func PickCriterion(c Criterion) Criterion {
 	if c != nil {
 		return c
 	}
-	return DefaultCriterion()
+	return Static{}
 }

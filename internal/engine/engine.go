@@ -37,8 +37,7 @@ type Engine interface {
 	// thresholds) for the given PVT condition and
 	// reference level. sopt carries the solver settings, notably the
 	// ColdStart ablation. crit selects the retention-decision criterion;
-	// nil resolves to the process default (Static unless a -criterion
-	// flag installed another). The Eval is NOT safe for concurrent use;
+	// nil resolves to Static. The Eval is NOT safe for concurrent use;
 	// each worker holds its own.
 	Eval(cond process.Condition, level regulator.VrefLevel, sopt spice.Options, crit Criterion) (Eval, error)
 	// DRV1 is the static data-retention-voltage oracle for a stored '1'

@@ -104,8 +104,8 @@ func TestNoiseLostDCRegimes(t *testing.T) {
 	}
 }
 
-// TestCriterionRegistry: resolution, canonical-name round-trips and the
-// process default.
+// TestCriterionRegistry: resolution, canonical-name round-trips, and
+// PickCriterion's Static default for an unset criterion.
 func TestCriterionRegistry(t *testing.T) {
 	if got, err := engine.ResolveCriterion(""); err != nil || got.Name() != "static" {
 		t.Fatalf("ResolveCriterion(\"\") = %v, %v", got, err)
@@ -125,15 +125,10 @@ func TestCriterionRegistry(t *testing.T) {
 		t.Fatal("ResolveCriterion(nosuch) succeeded")
 	}
 
-	defer engine.SetDefaultCriterion(nil)
-	if got := engine.DefaultCriterion().Name(); got != "static" {
-		t.Fatalf("built-in default criterion %q, want static", got)
+	if got := engine.PickCriterion(nil).Name(); got != "static" {
+		t.Fatalf("PickCriterion(nil) = %q, want static", got)
 	}
-	engine.SetDefaultCriterion(n)
-	if got := engine.PickCriterion(nil).Name(); got != n.Name() {
-		t.Fatalf("PickCriterion(nil) after SetDefault = %q", got)
-	}
-	if got := engine.PickCriterion(engine.Static{}).Name(); got != "static" {
+	if got := engine.PickCriterion(n).Name(); got != n.Name() {
 		t.Fatalf("explicit criterion lost to the default: %q", got)
 	}
 }

@@ -72,7 +72,7 @@ func run(ctx context.Context, p Params) (Result, Partial, error) {
 		return Result{}, Partial{}, err
 	}
 	p = g.Params()
-	names, err := p.testNames()
+	names, err := p.TestNames()
 	if err != nil {
 		return Result{}, Partial{}, err
 	}

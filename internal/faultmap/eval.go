@@ -135,7 +135,7 @@ func (t *TestTally) tallyMap(m *Map, r runResult) {
 }
 
 // evalMap runs every configured test against one map and folds the
-// results into the chunk's tallies (index-aligned with testNames).
+// results into the chunk's tallies (index-aligned with TestNames).
 func evalMap(p Params, m *Map, tallies []TestTally) error {
 	i := 0
 	for _, t := range p.Tests {

@@ -254,10 +254,10 @@ func (p Params) withDefaults() (Params, error) {
 	return p, nil
 }
 
-// testNames lists the evaluated test names in evaluation order: the
+// TestNames lists the evaluated test names in evaluation order: the
 // March tests first, then the random streams. The order is part of the
 // merge identity — every shard must evaluate the same list.
-func (p Params) testNames() ([]string, error) {
+func (p Params) TestNames() ([]string, error) {
 	names := make([]string, 0, len(p.Tests)+len(p.Random))
 	seen := map[string]bool{}
 	for _, t := range p.Tests {

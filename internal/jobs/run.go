@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"slices"
 
 	"sramtest/internal/charac"
 	"sramtest/internal/diag"
@@ -17,18 +17,31 @@ import (
 	"sramtest/internal/noisescan"
 	"sramtest/internal/process"
 	"sramtest/internal/regulator"
+	"sramtest/internal/report"
 	"sramtest/internal/testflow"
 	"sramtest/internal/yield"
 )
 
-// Run executes a job spec and returns exactly the bytes the matching CLI
-// writes to stdout (stderr progress chatter excluded):
+// Run executes a job spec and returns the bytes of its product. Each
+// sweep CLI is a thin shell that parses its flags into a Spec and
+// writes these bytes to stdout, so the CLI and a daemon job agree by
+// construction (stderr progress chatter excluded):
 //
-//	charac   ≡ defectchar [-full] [-defect N] [-cs N] [-csv]
-//	exp      ≡ drv -mc N [-csv]
-//	testflow ≡ flow [-defects ...] [-no-vdd-constraint] [-csv]
-//	diag     ≡ diagnose build [-defects ...] [-cs ...] [-decades ...]
-//	           [-base-only] -o -
+//	charac    ≡ defectchar [-full] [-defect N] [-cs N] [-criterion C] [-csv]
+//	exp       ≡ drv -mc N [-csv]
+//	testflow  ≡ flow [-defects ...] [-no-vdd-constraint] [-csv]
+//	diag      ≡ diagnose build [-defects ...] [-cs ...] [-decades ...]
+//	            [-base-only] [-points-per-decade N] -o -
+//	yield     ≡ yield [-n N] [-seed S] [-vref V] [-method M] [-csv]
+//	faultmap  ≡ faultmap [-maps N] [-seed S] [-vref V] [-defect P]
+//	            [-tests ...] [-random OPS] [-engine E] [-csv]
+//	noisescan ≡ noisescan [-cs N] [-points P] [-below V] [-above V]
+//	            [-runs R] [-sigma A] [-seed S] [-csv]
+//
+// A shard job of a sharded kind (yield, faultmap or noisescan with
+// Shards > 1) returns the kind's JSON partial instead; Merge turns the
+// partials of Split's shard specs back into Run's bytes for the whole
+// spec, which is what the CLIs' -cluster mode prints.
 //
 // This byte-identity holds at any worker count — it is the sweep
 // engine's determinism contract, and the reason results can be cached by
@@ -65,11 +78,107 @@ func Run(ctx context.Context, spec Spec) ([]byte, error) {
 	return nil, fmt.Errorf("%w: unknown kind %q", ErrBadSpec, spec.Kind)
 }
 
+// Merge reassembles a whole sharded job from the raw results of its
+// shard jobs (the specs Split returns, in order) and renders exactly the
+// bytes Run returns for spec itself. A result that is not a partial of
+// spec's kind, or that belongs to another job, is an error, and so is
+// any set of partials the kind's MergePartials refuses.
+func Merge(spec Spec, parts [][]byte) ([]byte, error) {
+	spec, err := spec.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	if shards, _ := spec.shardFields(); shards == nil || *shards != 0 {
+		return nil, fmt.Errorf("%w: merge needs a whole yield, faultmap or noisescan spec", ErrBadSpec)
+	}
+	switch spec.Kind {
+	case KindYield:
+		y := spec.Yield
+		res, err := mergePartials(parts, func(p yield.Partial) bool {
+			return p.Cond == mcCondition && p.Method == y.Method && p.Vref == y.Vref &&
+				p.Samples == y.Samples && p.Seed == y.Seed
+		}, yield.MergePartials)
+		if err != nil {
+			return nil, err
+		}
+		return renderYield(spec, res)
+	case KindFaultMap:
+		p, err := FaultMapParams(spec)
+		if err != nil {
+			return nil, err
+		}
+		names, err := p.TestNames()
+		if err != nil {
+			return nil, err
+		}
+		res, err := mergePartials(parts, func(part faultmap.Partial) bool {
+			return part.Cond == p.Cond && part.Maps == p.Maps && part.Seed == p.Seed &&
+				part.Vref == p.Vref && part.Defect == p.Defect &&
+				(part.Engine == faultmap.EngineBIST) == spec.FaultMap.BIST && slices.Equal(part.Tests, names)
+		}, faultmap.MergePartials)
+		if err != nil {
+			return nil, err
+		}
+		return renderFaultMap(spec, res)
+	default: // KindNoiseScan
+		ns, noise := spec.NoiseScan, spec.Noise.params()
+		res, err := mergePartials(parts, func(p noisescan.Partial) bool {
+			return p.Cond == mcCondition && p.CaseStudy == ns.CaseStudy && p.Points == ns.Points &&
+				p.Below == ns.Below && p.Above == ns.Above && p.Noise == noise
+		}, noisescan.MergePartials)
+		if err != nil {
+			return nil, err
+		}
+		return renderNoiseScan(spec, res)
+	}
+}
+
+// mergePartials decodes each raw shard result as the partial P, checks
+// that it belongs to the job being merged, and merges the set with the
+// kind's merge. Unknown fields are an error, so garbled bytes or another
+// kind's partial are refused rather than decoded to zeros.
+func mergePartials[P, R any](raw [][]byte, ours func(P) bool, merge func([]P) (R, error)) (R, error) {
+	var zero R
+	parts := make([]P, len(raw))
+	for i, data := range raw {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&parts[i]); err != nil {
+			return zero, fmt.Errorf("shard %d: bad partial: %w", i, err)
+		}
+		if !ours(parts[i]) {
+			return zero, fmt.Errorf("shard %d: partial of another job", i)
+		}
+	}
+	return merge(parts)
+}
+
+// render renders tables in the spec's text or CSV form, each followed
+// by a blank line: the one report layout of the table-rendering kinds.
+func render(spec Spec, ts ...*report.Table) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := report.RenderAll(&buf, spec.CSV, ts...); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func renderYield(spec Spec, res yield.Result) ([]byte, error) {
+	return render(spec, yield.Report(res))
+}
+
+func renderFaultMap(spec Spec, res faultmap.Result) ([]byte, error) {
+	return render(spec, faultmap.Summary(res), faultmap.Coverage(res))
+}
+
+func renderNoiseScan(spec Spec, res noisescan.Result) ([]byte, error) {
+	return render(spec, noisescan.Summary(res), noisescan.Curve(res))
+}
+
 // specCriterion resolves the spec's retention criterion. Like the
 // engine, the spec names it explicitly ("" ≡ static after
-// normalization) and the process default is deliberately not consulted,
-// so a store key always maps to one criterion regardless of daemon
-// configuration.
+// normalization), so a store key always maps to one criterion
+// regardless of daemon configuration.
 func specCriterion(spec Spec) (engine.Criterion, error) {
 	switch spec.Criterion {
 	case "":
@@ -81,12 +190,9 @@ func specCriterion(spec Spec) (engine.Criterion, error) {
 }
 
 // runNoiseScan measures the flip-probability curve at the fixed
-// Monte-Carlo condition. A whole scan renders the EXP-NS summary and
-// curve tables (identical to `noisescan` CLI output); a shard job
-// (Shards > 1) emits the mergeable noisescan.Partial JSON artifact the
-// cluster fan-out reassembles with noisescan.MergePartials. Like
-// KindExp and KindYield, the scan drives the cell netlist directly and
-// ignores the engine field.
+// Monte-Carlo condition: the EXP-NS summary and curve tables, or a
+// shard job's noisescan.Partial JSON. Like KindExp and KindYield, the
+// scan drives the cell netlist directly and ignores the engine field.
 func runNoiseScan(ctx context.Context, spec Spec) ([]byte, error) {
 	ns := spec.NoiseScan
 	p := noisescan.Params{
@@ -110,34 +216,22 @@ func runNoiseScan(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	for _, t := range []interface {
-		Write(w io.Writer) error
-		WriteCSV(w io.Writer) error
-	}{noisescan.Summary(res), noisescan.Curve(res)} {
-		if spec.CSV {
-			err = t.WriteCSV(&buf)
-		} else {
-			err = t.Write(&buf)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(&buf) // match cmd/noisescan's blank line after each table
-	}
-	return buf.Bytes(), nil
+	return renderNoiseScan(spec, res)
 }
 
-// runFaultMap generates the correlated fault-map corpus at the fixed
-// Monte-Carlo condition and evaluates March coverage against it. A
-// whole run renders the EXP-FM summary and coverage tables (identical
-// to `faultmap` CLI output); a shard job (Shards > 1) emits the
-// mergeable faultmap.Partial JSON artifact the cluster fan-out
-// reassembles with faultmap.MergePartials. Like KindExp and KindYield,
-// the corpus samples the cell model directly and ignores the engine
-// field (the sub-spec's BIST switch selects the coverage evaluator, not
-// the simulation backend).
-func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
+// FaultMapParams converts a faultmap spec to the evaluation parameters
+// its job runs with, at the fixed Monte-Carlo condition. Products the
+// faultmap CLI computes outside the job (the -dump corpus, the -rails
+// sweep) take their parameters from here, so every faultmap product
+// reads one set of defaults and one validation.
+func FaultMapParams(spec Spec) (faultmap.Params, error) {
+	spec, err := spec.Normalize()
+	if err != nil {
+		return faultmap.Params{}, err
+	}
+	if spec.Kind != KindFaultMap {
+		return faultmap.Params{}, fmt.Errorf("%w: kind %q is not %q", ErrBadSpec, spec.Kind, KindFaultMap)
+	}
 	f := spec.FaultMap
 	p := faultmap.Params{
 		Maps:   f.Maps,
@@ -154,15 +248,12 @@ func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
 	if spec.Criterion == "noise" {
 		crit, err := specCriterion(spec)
 		if err != nil {
-			return nil, err
+			return faultmap.Params{}, err
 		}
 		p.Model = engine.CriterionModel{Crit: crit}
 	}
 	for _, name := range f.Tests {
-		t, ok := march.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown March test %q", ErrBadSpec, name)
-		}
+		t, _ := march.ByName(name) // normalization checked every name
 		p.Tests = append(p.Tests, t)
 	}
 	if f.BIST {
@@ -171,7 +262,21 @@ func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
 	if f.RandomOps > 0 {
 		p.Random = []march.RandomSpec{faultmap.DefaultRandom(f.RandomOps, f.Seed)}
 	}
-	if f.Shards > 1 {
+	return p, nil
+}
+
+// runFaultMap generates the correlated fault-map corpus and evaluates
+// March coverage against it: the EXP-FM summary and coverage tables, or
+// a shard job's faultmap.Partial JSON. Like KindExp and KindYield, the
+// corpus samples the cell model directly and ignores the engine field
+// (the sub-spec's BIST switch selects the coverage evaluator, not the
+// simulation backend).
+func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
+	p, err := FaultMapParams(spec)
+	if err != nil {
+		return nil, err
+	}
+	if p.Shards > 1 {
 		part, err := faultmap.ShardPartial(ctx, p)
 		if err != nil {
 			return nil, err
@@ -182,30 +287,13 @@ func runFaultMap(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	for _, t := range []interface {
-		Write(w io.Writer) error
-		WriteCSV(w io.Writer) error
-	}{faultmap.Summary(res), faultmap.Coverage(res)} {
-		if spec.CSV {
-			err = t.WriteCSV(&buf)
-		} else {
-			err = t.Write(&buf)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(&buf) // match cmd/faultmap's blank line after each table
-	}
-	return buf.Bytes(), nil
+	return renderFaultMap(spec, res)
 }
 
 // runYield estimates the rare-event retention yield at the fixed
-// Monte-Carlo condition. A whole estimate renders the EXP-YD table
-// (identical to `yield` CLI output); a shard job (Shards > 1) emits the
-// mergeable yield.Partial JSON artifact the cluster fan-out reassembles
-// with yield.MergePartials. Like KindExp, the estimate samples the cell
-// model directly and ignores the engine field.
+// Monte-Carlo condition: the EXP-YD table, or a shard job's
+// yield.Partial JSON. Like KindExp, the estimate samples the cell model
+// directly and ignores the engine field.
 func runYield(ctx context.Context, spec Spec) ([]byte, error) {
 	y := spec.Yield
 	est, err := yield.New(y.Method)
@@ -241,18 +329,7 @@ func runYield(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	t := yield.Report(res)
-	if spec.CSV {
-		err = t.WriteCSV(&buf)
-	} else {
-		err = t.Write(&buf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&buf) // match cmd/yield's trailing blank line
-	return buf.Bytes(), nil
+	return renderYield(spec, res)
 }
 
 // runDiag builds the fault dictionary; the job bytes are the versioned
@@ -303,13 +380,7 @@ func runCharac(ctx context.Context, spec Spec, eng engine.Engine) ([]byte, error
 		return nil, err
 	}
 	var buf bytes.Buffer
-	t := exp.Table2Report(results)
-	if spec.CSV {
-		err = t.WriteCSV(&buf)
-	} else {
-		err = t.Write(&buf)
-	}
-	if err != nil {
+	if err := exp.Table2Report(results).Render(&buf, spec.CSV); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -323,18 +394,7 @@ func runExp(ctx context.Context, spec Spec) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	t := exp.MonteCarloReport(res, exp.NewWorstDRVForTest(mcCondition))
-	if spec.CSV {
-		err = t.WriteCSV(&buf)
-	} else {
-		err = t.Write(&buf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&buf) // drv's emit() prints a blank line after the table
-	return buf.Bytes(), nil
+	return render(spec, exp.MonteCarloReport(res, exp.NewWorstDRVForTest(mcCondition)))
 }
 
 func runTestFlow(ctx context.Context, spec Spec, eng engine.Engine) ([]byte, error) {
@@ -355,24 +415,17 @@ func runTestFlow(ctx context.Context, spec Spec, eng engine.Engine) ([]byte, err
 
 	var buf bytes.Buffer
 	res := exp.Table3Result{WorstDRV: worst, Sensitivities: sens, Flow: flow}
-	t := exp.Table3Report(res)
-	if spec.CSV {
-		err = t.WriteCSV(&buf)
-	} else {
-		err = t.Write(&buf)
-	}
-	if err != nil {
+	if err := report.RenderAll(&buf, spec.CSV, exp.Table3Report(res)); err != nil {
 		return nil, err
 	}
-	fmt.Fprintln(&buf)
 	if len(flow.Uncoverable) > 0 {
 		fmt.Fprintf(&buf, "defects undetectable at every eligible condition: %v\n", flow.Uncoverable)
 	}
+	// The per-condition sensitivity matrix is text-only.
 	if !spec.CSV {
-		if err := exp.SensitivityReport(sens, mopt.Defects).Write(&buf); err != nil {
+		if err := report.RenderAll(&buf, false, exp.SensitivityReport(sens, mopt.Defects)); err != nil {
 			return nil, err
 		}
-		fmt.Fprintln(&buf)
 	}
 	if err := exp.WriteTestTime(&buf, exp.TestTime(flow)); err != nil {
 		return nil, err

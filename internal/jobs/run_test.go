@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
-	"encoding/json"
 	"fmt"
 
 	"sramtest/internal/charac"
@@ -20,10 +20,11 @@ import (
 	"sramtest/internal/yield"
 )
 
-// cliCharacBytes reproduces cmd/defectchar's stdout path literally: the
-// per-(defect, case study) CharacterizeDefect loop feeding
-// exp.Table2Report. The job runner goes through CharacterizeAll instead;
-// the daemon's contract is that both emit identical bytes.
+// cliCharacBytes spells Table II's bytes out literally, as the
+// reference the runner is checked against: the per-(defect, case study)
+// CharacterizeDefect loop feeding exp.Table2Report. The job runner (and
+// so cmd/defectchar, a shell over it) goes through CharacterizeAll
+// instead; both must emit identical bytes.
 func cliCharacBytes(t *testing.T, defects []regulator.Defect, cs []int, csv bool) []byte {
 	t.Helper()
 	opt := charac.DefaultOptions()
@@ -117,8 +118,9 @@ func TestRunWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestYieldJobMatchesCLIBytes pins the yield job to the exact bytes
-// cmd/yield writes: estimator → Report table → trailing blank line.
+// TestYieldJobMatchesCLIBytes pins the yield job (and so cmd/yield) to
+// its literal reference spelling: estimator → Report table → trailing
+// blank line.
 // Byte identity here is what lets the daemon serve cached yield results
 // interchangeably with local CLI runs.
 func TestYieldJobMatchesCLIBytes(t *testing.T) {
@@ -128,7 +130,7 @@ func TestYieldJobMatchesCLIBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CLI path, spelled out literally.
+	// The reference path, spelled out literally.
 	est, err := yield.New("")
 	if err != nil {
 		t.Fatal(err)
@@ -152,46 +154,36 @@ func TestYieldJobMatchesCLIBytes(t *testing.T) {
 	}
 }
 
-// TestYieldShardJobsMerge runs the cluster fan-out shape end to end at
-// the jobs layer: two shard jobs emit Partial JSON, the merged result
-// renders byte-identically to the equivalent whole-estimate job.
-func TestYieldShardJobsMerge(t *testing.T) {
-	whole, err := Run(context.Background(), Spec{
-		Kind: KindYield, Yield: &YieldSpec{Samples: 64, Vref: 0.34},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]yield.Partial, 2)
-	for s := 0; s < 2; s++ {
-		raw, err := Run(context.Background(), Spec{
-			Kind:  KindYield,
-			Yield: &YieldSpec{Samples: 64, Vref: 0.34, Shards: 2, Shard: s},
-		})
+// checkMerge is the cluster fan-out shape end to end at the jobs layer:
+// spec's shard jobs emit partials, and Merge renders them into exactly
+// Run's bytes for the whole spec, as text and as CSV.
+func checkMerge(t *testing.T, spec Spec, shards int) {
+	t.Helper()
+	_, parts := shardResults(t, spec, shards)
+	for _, csv := range []bool{false, true} {
+		spec.CSV = csv
+		whole, err := Run(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &parts[s]); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+		merged, err := Merge(spec, parts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	merged, err := yield.MergePartials(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := yield.Report(merged).Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintln(&buf)
-	if !bytes.Equal(whole, buf.Bytes()) {
-		t.Errorf("merged shard report differs from the whole job:\n--- whole ---\n%s\n--- merged ---\n%s", whole, buf.Bytes())
+		if !bytes.Equal(whole, merged) {
+			t.Errorf("csv=%v: merged shard report differs from the whole job:\n--- whole ---\n%s\n--- merged ---\n%s", csv, whole, merged)
+		}
 	}
 }
 
-// TestFaultMapJobMatchesCLIBytes pins the faultmap job to the exact
-// bytes cmd/faultmap writes: Estimate → Summary table → blank line →
-// Coverage table → blank line, at the fixed Monte-Carlo condition.
+func TestYieldShardJobsMerge(t *testing.T) {
+	checkMerge(t, Spec{Kind: KindYield, Yield: &YieldSpec{Samples: 64, Vref: 0.34}}, 2)
+}
+
+// TestFaultMapJobMatchesCLIBytes pins the faultmap job (and so
+// cmd/faultmap) to its literal reference spelling: Estimate → Summary
+// table → blank line → Coverage table → blank line, at the fixed
+// Monte-Carlo condition.
 func TestFaultMapJobMatchesCLIBytes(t *testing.T) {
 	spec := Spec{Kind: KindFaultMap, FaultMap: &FaultMapSpec{
 		Maps: 8, Tests: []string{"March m-LZ", "March C-"}, RandomOps: 2000,
@@ -201,7 +193,7 @@ func TestFaultMapJobMatchesCLIBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CLI path, spelled out literally.
+	// The reference path, spelled out literally.
 	mlz, _ := march.ByName("March m-LZ")
 	cm, _ := march.ByName("March C-")
 	res, err := faultmap.Estimate(context.Background(), faultmap.Params{
@@ -233,50 +225,16 @@ func TestFaultMapJobMatchesCLIBytes(t *testing.T) {
 	}
 }
 
-// TestFaultMapShardJobsMerge runs the faultmap cluster fan-out shape end
-// to end at the jobs layer: two shard jobs emit Partial JSON, the merged
-// result renders byte-identically to the equivalent whole-corpus job.
 func TestFaultMapShardJobsMerge(t *testing.T) {
-	sub := FaultMapSpec{Maps: 16, Tests: []string{"March m-LZ", "March C-"}}
-	whole, err := Run(context.Background(), Spec{Kind: KindFaultMap, FaultMap: &sub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]faultmap.Partial, 2)
-	for s := 0; s < 2; s++ {
-		shard := sub
-		shard.Shards, shard.Shard = 2, s
-		raw, err := Run(context.Background(), Spec{Kind: KindFaultMap, FaultMap: &shard})
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		if err := json.Unmarshal(raw, &parts[s]); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-	}
-	merged, err := faultmap.MergePartials(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := faultmap.Summary(merged).Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintln(&buf)
-	if err := faultmap.Coverage(merged).Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintln(&buf)
-	if !bytes.Equal(whole, buf.Bytes()) {
-		t.Errorf("merged shard report differs from the whole job:\n--- whole ---\n%s\n--- merged ---\n%s", whole, buf.Bytes())
-	}
+	checkMerge(t, Spec{Kind: KindFaultMap, FaultMap: &FaultMapSpec{
+		Maps: 16, Tests: []string{"March m-LZ", "March C-"},
+	}}, 2)
 }
 
-// TestNoiseScanJobMatchesCLIBytes pins the noisescan job to the exact
-// bytes cmd/noisescan writes: Scan → Summary table → blank line → Curve
-// table → blank line, at the fixed Monte-Carlo condition. This is one
-// leg of the satellite determinism contract — CLI, daemon and cluster
-// must agree byte for byte.
+// TestNoiseScanJobMatchesCLIBytes pins the noisescan job (and so
+// cmd/noisescan) to its literal reference spelling: Scan → Summary
+// table → blank line → Curve table → blank line, at the fixed
+// Monte-Carlo condition.
 func TestNoiseScanJobMatchesCLIBytes(t *testing.T) {
 	spec := Spec{Kind: KindNoiseScan, NoiseScan: &NoiseScanSpec{CaseStudy: 5, Points: 5}}
 	got, err := Run(context.Background(), spec)
@@ -284,7 +242,7 @@ func TestNoiseScanJobMatchesCLIBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The CLI path, spelled out literally.
+	// The reference path, spelled out literally.
 	res, err := noisescan.Scan(context.Background(), noisescan.Params{CaseStudy: 5, Points: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -306,43 +264,57 @@ func TestNoiseScanJobMatchesCLIBytes(t *testing.T) {
 	}
 }
 
-// TestNoiseScanShardJobsMerge runs the noisescan cluster fan-out shape
-// end to end at the jobs layer: two shard jobs emit Partial JSON, the
-// merged result renders byte-identically to the equivalent whole-scan
-// job — the third leg of the satellite determinism contract.
 func TestNoiseScanShardJobsMerge(t *testing.T) {
-	sub := NoiseScanSpec{CaseStudy: 5, Points: 5}
-	whole, err := Run(context.Background(), Spec{Kind: KindNoiseScan, NoiseScan: &sub})
+	checkMerge(t, Spec{Kind: KindNoiseScan, NoiseScan: &NoiseScanSpec{CaseStudy: 5, Points: 5}}, 2)
+}
+
+// shardResults runs spec's k shard jobs and returns their raw results.
+func shardResults(t *testing.T, spec Spec, k int) ([]Spec, [][]byte) {
+	t.Helper()
+	specs, err := spec.Split(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]noisescan.Partial, 2)
-	for s := 0; s < 2; s++ {
-		shard := sub
-		shard.Shards, shard.Shard = 2, s
-		raw, err := Run(context.Background(), Spec{Kind: KindNoiseScan, NoiseScan: &shard})
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		if err := json.Unmarshal(raw, &parts[s]); err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+	parts := make([][]byte, len(specs))
+	for i, sh := range specs {
+		if parts[i], err = Run(context.Background(), sh); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	merged, err := noisescan.MergePartials(parts)
-	if err != nil {
-		t.Fatal(err)
+	return specs, parts
+}
+
+// TestMergeRejectsForeignPartials: Merge refuses results that are not
+// partials of the spec being merged, and specs it cannot merge.
+func TestMergeRejectsForeignPartials(t *testing.T) {
+	spec := Spec{Kind: KindNoiseScan, NoiseScan: &NoiseScanSpec{Points: 4}}
+	specs, parts := shardResults(t, spec, 2)
+	if _, err := Merge(spec, parts); err != nil {
+		t.Fatalf("own partials: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := noisescan.Summary(merged).Write(&buf); err != nil {
-		t.Fatal(err)
+	fmSpec := Spec{Kind: KindFaultMap, FaultMap: &FaultMapSpec{Maps: 2, Tests: []string{"MATS+"}}}
+	_, fmParts := shardResults(t, fmSpec, 2)
+	if _, err := Merge(fmSpec, fmParts); err != nil {
+		t.Fatalf("own faultmap partials: %v", err)
 	}
-	fmt.Fprintln(&buf)
-	if err := noisescan.Curve(merged).Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintln(&buf)
-	if !bytes.Equal(whole, buf.Bytes()) {
-		t.Errorf("merged shard report differs from the whole job:\n--- whole ---\n%s\n--- merged ---\n%s", whole, buf.Bytes())
+	for _, c := range []struct {
+		name    string
+		spec    Spec
+		parts   [][]byte
+		wantErr string
+	}{
+		{"garbled", spec, [][]byte{parts[0], []byte("| table text |")}, "shard 1: bad partial"},
+		{"another kind", Spec{Kind: KindFaultMap}, parts, "shard 0: bad partial"},
+		{"another job", Spec{Kind: KindNoiseScan, NoiseScan: &NoiseScanSpec{Points: 5}}, parts, "shard 0: partial of another job"},
+		{"other tests", Spec{Kind: KindFaultMap, FaultMap: &FaultMapSpec{Maps: 2, Tests: []string{"March C-"}}}, fmParts, "shard 0: partial of another job"},
+		{"other evaluator", Spec{Kind: KindFaultMap, FaultMap: &FaultMapSpec{Maps: 2, Tests: []string{"MATS+"}, BIST: true}}, fmParts, "shard 0: partial of another job"},
+		{"a shard spec", specs[0], parts, "whole"},
+		{"unsharded kind", Spec{Kind: KindExp, Exp: &ExpSpec{Samples: 8}}, parts, "whole"},
+		{"missing shard", spec, parts[:1], "1 partials for 2 shards"},
+	} {
+		if _, err := Merge(c.spec, c.parts); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.wantErr)
+		}
 	}
 }
 

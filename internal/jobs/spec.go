@@ -359,11 +359,17 @@ func (s Spec) Normalize() (Spec, error) {
 	if out.Criterion, out.Noise, err = normalizeCriterion(s); err != nil {
 		return Spec{}, err
 	}
-	switch s.Kind {
-	case KindCharac:
-		if s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
+	for kind, set := range map[Kind]bool{
+		KindCharac: s.Charac != nil, KindExp: s.Exp != nil, KindTestFlow: s.TestFlow != nil,
+		KindDiag: s.Diag != nil, KindYield: s.Yield != nil, KindFaultMap: s.FaultMap != nil,
+		KindNoiseScan: s.NoiseScan != nil,
+	} {
+		if set && kind != s.Kind {
 			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
 		}
+	}
+	switch s.Kind {
+	case KindCharac:
 		c := CharacSpec{}
 		if s.Charac != nil {
 			c = *s.Charac
@@ -377,9 +383,6 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		out.Charac = &c
 	case KindExp:
-		if s.Charac != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
 		if s.Exp == nil {
 			return Spec{}, fmt.Errorf("%w: kind %q requires an exp sub-spec with samples", ErrBadSpec, s.Kind)
 		}
@@ -395,9 +398,6 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		out.Exp = &e
 	case KindTestFlow:
-		if s.Charac != nil || s.Exp != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
 		f := TestFlowSpec{}
 		if s.TestFlow != nil {
 			f = *s.TestFlow
@@ -408,9 +408,6 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		out.TestFlow = &f
 	case KindDiag:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Yield != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
 		if s.CSV {
 			return Spec{}, fmt.Errorf("%w: kind %q emits a JSON artifact, csv does not apply", ErrBadSpec, s.Kind)
 		}
@@ -440,9 +437,6 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		out.Diag = &dg
 	case KindYield:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.FaultMap != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
 		if s.Yield == nil {
 			return Spec{}, fmt.Errorf("%w: kind %q requires a yield sub-spec with samples", ErrBadSpec, s.Kind)
 		}
@@ -473,9 +467,6 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		out.Yield = &y
 	case KindFaultMap:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.NoiseScan != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
 		fm := FaultMapSpec{}
 		if s.FaultMap != nil {
 			fm = *s.FaultMap
@@ -515,9 +506,6 @@ func (s Spec) Normalize() (Spec, error) {
 		}
 		out.FaultMap = &fm
 	case KindNoiseScan:
-		if s.Charac != nil || s.Exp != nil || s.TestFlow != nil || s.Diag != nil || s.Yield != nil || s.FaultMap != nil {
-			return Spec{}, fmt.Errorf("%w: kind %q with mismatched sub-spec", ErrBadSpec, s.Kind)
-		}
 		ns := NoiseScanSpec{}
 		if s.NoiseScan != nil {
 			ns = *s.NoiseScan
@@ -675,6 +663,46 @@ func (s Spec) Key() (string, error) {
 		return "", err
 	}
 	return store.Key(c), nil
+}
+
+// Split returns the k shard specs of a whole yield, faultmap or
+// noisescan spec: shard i covers the work units with index ≡ i (mod k)
+// and emits a JSON partial, so the shard specs drop csv, and Merge
+// renders their partials back into Run's bytes for s.
+func (s Spec) Split(k int) ([]Spec, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("%w: %d shards, want >= 2 (one shard is a plain job)", ErrBadSpec, k)
+	}
+	out := make([]Spec, k)
+	for i := range out {
+		// Normalize copies the sub-spec, so each shard gets its own.
+		sh, err := s.Normalize()
+		if err != nil {
+			return nil, err
+		}
+		shards, idx := sh.shardFields()
+		if shards == nil || *shards != 0 {
+			return nil, fmt.Errorf("%w: only a whole yield, faultmap or noisescan spec splits into shards", ErrBadSpec)
+		}
+		*shards, *idx = k, i
+		sh.CSV = false
+		out[i] = sh
+	}
+	return out, nil
+}
+
+// shardFields points at the (Shards, Shard) pair of a normalized
+// sharded kind's sub-spec; both are nil for a kind that does not shard.
+func (s Spec) shardFields() (shards, shard *int) {
+	switch s.Kind {
+	case KindYield:
+		return &s.Yield.Shards, &s.Yield.Shard
+	case KindFaultMap:
+		return &s.FaultMap.Shards, &s.FaultMap.Shard
+	case KindNoiseScan:
+		return &s.NoiseScan.Shards, &s.NoiseScan.Shard
+	}
+	return nil, nil
 }
 
 // normalizeShard applies the shard parameter rule to a sharded kind's

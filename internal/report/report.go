@@ -102,6 +102,29 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return nil
 }
 
+// Render writes the table as CSV when csv is set, else with aligned
+// columns.
+func (t *Table) Render(w io.Writer, csv bool) error {
+	if csv {
+		return t.WriteCSV(w)
+	}
+	return t.Write(w)
+}
+
+// RenderAll renders each table in turn, each followed by a blank line —
+// the layout of every multi-table report the tools print.
+func RenderAll(w io.Writer, csv bool, ts ...*Table) error {
+	for _, t := range ts {
+		if err := t.Render(w, csv); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // String renders the table to a string.
 func (t *Table) String() string {
 	var b strings.Builder

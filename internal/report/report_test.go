@@ -44,6 +44,26 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+func TestRenderAll(t *testing.T) {
+	a := NewTable("A", "x")
+	a.AddRow("1")
+	b := NewTable("B", "y")
+	b.AddRow("2")
+	var text, csv strings.Builder
+	if err := RenderAll(&text, false, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if want := a.String() + "\n" + b.String() + "\n"; text.String() != want {
+		t.Errorf("text:\n%q\nwant\n%q", text.String(), want)
+	}
+	if err := RenderAll(&csv, true, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "x\n1\n\ny\n2\n\n"; csv.String() != want {
+		t.Errorf("csv = %q, want %q", csv.String(), want)
+	}
+}
+
 func TestSI(t *testing.T) {
 	cases := []struct {
 		v    float64
